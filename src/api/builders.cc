@@ -37,6 +37,12 @@ namespace {
                               "\"): " + why);
 }
 
+[[noreturn]] void SpentBuilder(const char* key, const char* call) {
+  throw std::logic_error(std::string(key) + " summarizer: " + call +
+                         " after Finalize (builders are spent once "
+                         "finalized)");
+}
+
 /// Base for methods that need the whole input before building.
 class BufferingSummarizer : public Summarizer {
  public:
@@ -296,12 +302,14 @@ class TwoPassProductBuilder : public Summarizer {
         sampler_(cfg_.s, TwoPassConfig{cfg_.sprime_factor}, rng_.Split()) {}
 
   void Add(const WeightedKey& item) override {
+    RequireUnspent("Add");
     if (!AdmitWeight(item.weight)) return;
     sampler_.Pass1(item);
     buffer_.push_back(item);
   }
 
   void AddBatch(std::span<const WeightedKey> items) override {
+    RequireUnspent("AddBatch");
     if (AllFinite(items)) {
       CountAccepted(items.size());
       for (const WeightedKey& it : items) sampler_.Pass1(it);
@@ -314,16 +322,25 @@ class TwoPassProductBuilder : public Summarizer {
   bool Mergeable() const override { return true; }
 
   std::unique_ptr<RangeSummary> Finalize() override {
+    RequireUnspent("Finalize");
+    spent_ = true;
     sampler_.BeginPass2();
-    for (const WeightedKey& it : buffer_) sampler_.Pass2(it);
+    sampler_.Pass2Batch(buffer_);
     return std::make_unique<SampleSummary>(keys::kAware,
                                            sampler_.Finalize());
   }
 
  private:
+  /// The sampler's pass-1 state is released at Finalize, so a finalized
+  /// builder is spent: further calls fail fast instead of touching it.
+  void RequireUnspent(const char* call) const {
+    if (spent_) SpentBuilder(keys::kAware, call);
+  }
+
   Rng rng_;
   TwoPassProductSampler sampler_;
   std::vector<WeightedKey> buffer_;
+  bool spent_ = false;
 };
 
 class TwoPassOrderBuilder : public BufferingSummarizer {

@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "core/simd.h"
+#include "core/telemetry.h"
 
 namespace sas {
 
@@ -13,46 +14,105 @@ struct BuildTask {
   std::int32_t node;
   std::uint32_t begin, end;
   std::int32_t depth;
-  std::int32_t parent_axis;  // axis the parent split on; -1 for the root
 };
 
 static_assert(kKdNull == -1,
               "KdNodeSoA::Emplace hardcodes -1 as the null child/parent");
+
+/// Sorts axis `axis` of the n flat points into (ord, key): item indices and
+/// their axis coordinates in ascending (coordinate, index) order. LSD radix
+/// sort over the bytes in which some coordinate differs from the first one
+/// (a byte all keys share would be an identity pass); starting from index
+/// order, every pass is stable, so ties come out index-ordered exactly as
+/// the (coordinate, index) comparison sort orders them. (tmp_ord, tmp_key)
+/// is the ping-pong buffer.
+void RadixSortAxis(const Coord* coords, std::size_t dims, std::size_t axis,
+                   std::size_t n, std::uint32_t* ord, Coord* key,
+                   std::uint32_t* tmp_ord, Coord* tmp_key) {
+  Coord varying = 0;
+  const Coord first = coords[axis];
+  for (std::size_t i = 0; i < n; ++i) {
+    varying |= coords[i * dims + axis] ^ first;
+  }
+  int passes[8];
+  int num_passes = 0;
+  for (int b = 0; b < 8; ++b) {
+    if (((varying >> (8 * b)) & 0xFF) != 0) passes[num_passes++] = b;
+  }
+
+  // Start in whichever buffer makes the last pass land in (ord, key).
+  const bool odd = num_passes % 2 == 1;
+  std::uint32_t* src_ord = odd ? tmp_ord : ord;
+  Coord* src_key = odd ? tmp_key : key;
+  std::uint32_t* dst_ord = odd ? ord : tmp_ord;
+  Coord* dst_key = odd ? key : tmp_key;
+  std::uint32_t count[8][256] = {};
+  for (std::size_t i = 0; i < n; ++i) {
+    const Coord c = coords[i * dims + axis];
+    src_ord[i] = static_cast<std::uint32_t>(i);
+    src_key[i] = c;
+    for (int p = 0; p < num_passes; ++p) {
+      ++count[p][(c >> (8 * passes[p])) & 0xFF];
+    }
+  }
+  for (int p = 0; p < num_passes; ++p) {
+    std::uint32_t offset[256];
+    std::uint32_t run = 0;
+    for (int d = 0; d < 256; ++d) {
+      offset[d] = run;
+      run += count[p][d];
+    }
+    const int shift = 8 * passes[p];
+    for (std::size_t i = 0; i < n; ++i) {
+      const Coord c = src_key[i];
+      const std::uint32_t at = offset[(c >> shift) & 0xFF]++;
+      dst_key[at] = c;
+      dst_ord[at] = src_ord[i];
+    }
+    std::swap(src_ord, dst_ord);
+    std::swap(src_key, dst_key);
+  }
+  assert(src_ord == ord && src_key == key);
+}
 
 }  // namespace
 
 KdCoreBuild KdBuildCore(const Coord* coords, int dims, const double* mass,
                         std::size_t n, KdBuildScratch* scratch,
                         std::vector<std::size_t>* item_order) {
+  static telemetry::Histogram* const build_ns =
+      telemetry::GetHistogram("sas.build.kd_ns");
+  telemetry::Span span("build.kd", build_ns);
   assert(dims >= 1);
   assert(n >= 1);
   MonotonicArena& arena = scratch->arena;
   arena.Reset();
+  const auto ud = static_cast<std::size_t>(dims);
 
-  auto axis_coord = [&](std::uint32_t item, int axis) {
-    return coords[static_cast<std::size_t>(item) * dims + axis];
-  };
-
-  // One item order per axis, each sorted once (coordinate, then index so
-  // ties are deterministic); every split keeps all d orders sorted by a
-  // stable partition instead of re-sorting the subrange per node.
-  std::uint32_t** ord = arena.AllocateArray<std::uint32_t*>(dims);
-  for (int axis = 0; axis < dims; ++axis) {
-    ord[axis] = arena.AllocateArray<std::uint32_t>(n);
-    std::uint32_t* o = ord[axis];
-    for (std::size_t i = 0; i < n; ++i) o[i] = static_cast<std::uint32_t>(i);
-    std::sort(o, o + n, [&](std::uint32_t a, std::uint32_t b) {
-      const Coord ca = axis_coord(a, axis);
-      const Coord cb = axis_coord(b, axis);
-      return ca != cb ? ca < cb : a < b;
-    });
-  }
-  std::uint32_t* part_tmp = arena.AllocateArray<std::uint32_t>(n);
-  // Median-scan working arrays (one node range at a time): gathered axis
-  // coordinates and the running weighted prefix, consumed by the dispatched
-  // min-gap kernel.
+  // Per axis, the item order plus the payload the build reads along it:
+  // each item's axis coordinate and mass, carried beside the order so the
+  // mass sums, prefix scans and median scans read sequentially. Every split
+  // keeps all d (order, coord, mass) triples sorted by a stable partition
+  // instead of re-sorting the subrange per node.
+  std::uint32_t** ord = arena.AllocateArray<std::uint32_t*>(ud);
+  Coord** key = arena.AllocateArray<Coord*>(ud);
+  double** wt = arena.AllocateArray<double*>(ud);
+  // The partition buffer (also the radix sort's ping-pong buffer), the
+  // weighted prefix of the node being split (whose storage doubles as the
+  // partition's mass buffer: a node's prefix is dead once its children's
+  // masses are taken), and the per-item side of the current split.
+  std::uint32_t* tmp_ord = arena.AllocateArray<std::uint32_t>(n);
+  Coord* tmp_key = arena.AllocateArray<Coord>(n);
   double* pref = arena.AllocateArray<double>(n);
-  Coord* vals = arena.AllocateArray<Coord>(n);
+  double* tmp_wt = pref;
+  std::uint8_t* is_left = arena.AllocateArray<std::uint8_t>(n);
+  for (std::size_t a = 0; a < ud; ++a) {
+    ord[a] = arena.AllocateArray<std::uint32_t>(n);
+    key[a] = arena.AllocateArray<Coord>(n);
+    wt[a] = arena.AllocateArray<double>(n);
+    RadixSortAxis(coords, ud, a, n, ord[a], key[a], tmp_ord, tmp_key);
+    for (std::size_t i = 0; i < n; ++i) wt[a][i] = mass[ord[a][i]];
+  }
 
   const std::size_t node_cap = 2 * n;  // at most 2n - 1 nodes
   KdCoreBuild out;
@@ -66,22 +126,17 @@ KdCoreBuild KdBuildCore(const Coord* coords, int dims, const double* mass,
   item_order->resize(n);
   std::int32_t num_nodes = 1;
   soa.Emplace(0, kKdNull);
-  stack[stack_size++] = {0, 0, static_cast<std::uint32_t>(n), 0, -1};
+  // The root sums its mass in input order; every child receives its mass
+  // from the parent's split, summed along the split axis' order.
+  double root_mass = 0.0;
+  for (std::size_t i = 0; i < n; ++i) root_mass += mass[i];
+  soa.mass[0] = root_mass;
+  stack[stack_size++] = {0, 0, static_cast<std::uint32_t>(n), 0};
   while (stack_size > 0) {
     const BuildTask t = stack[--stack_size];
     soa.begin[t.node] = t.begin;
     soa.end[t.node] = t.end;
-    // Sum the node mass in the order inherited from the parent's split axis
-    // (the root sums input order), matching the classic build's summation
-    // sequence so masses agree bit-for-bit on duplicate-free inputs.
-    double total = 0.0;
-    if (t.parent_axis < 0) {
-      for (std::uint32_t i = t.begin; i < t.end; ++i) total += mass[i];
-    } else {
-      const std::uint32_t* po = ord[t.parent_axis];
-      for (std::uint32_t i = t.begin; i < t.end; ++i) total += mass[po[i]];
-    }
-    soa.mass[t.node] = total;
+    const double total = soa.mass[t.node];
     if (t.end - t.begin <= 1) {
       if (t.end > t.begin) (*item_order)[t.begin] = ord[0][t.begin];
       continue;  // leaf
@@ -91,34 +146,31 @@ KdCoreBuild KdBuildCore(const Coord* coords, int dims, const double* mass,
     // all coordinates coincide on the preferred one. Weighted median: the
     // coordinate boundary minimizing |left mass - right mass|; only
     // boundaries between distinct coordinates are valid split positions.
+    const std::uint32_t len = t.end - t.begin;
     int axis = t.depth % dims;
     int used_axis = axis;
     bool split_found = false;
     std::uint32_t split_pos = t.begin;
     Coord split_val = 0;
+    double left_mass = 0.0;
     for (int attempt = 0; attempt < dims && !split_found;
          ++attempt, axis = (axis + 1) % dims) {
-      const std::uint32_t* o = ord[axis];
-      if (axis_coord(o[t.begin], axis) == axis_coord(o[t.end - 1], axis)) {
-        continue;  // degenerate on this axis
-      }
-      // Pass 1 (serial by construction — the prefix sum's addition order is
-      // part of the bit-identity contract): gather the axis coordinates and
-      // accumulate the weighted prefix. Pass 2: the dispatched min-gap scan
-      // picks the first boundary minimizing |left - right| mass, exactly as
-      // the classic fused loop did.
-      const std::uint32_t len = t.end - t.begin;
+      const Coord* k = key[axis] + t.begin;
+      if (k[0] == k[len - 1]) continue;  // degenerate on this axis
+      // The prefix sum's addition order is part of the bit-identity
+      // contract (serial by construction); the dispatched min-gap scan then
+      // picks the first boundary minimizing |left - right| mass.
+      const double* w = wt[axis] + t.begin;
       double run = 0.0;
       for (std::uint32_t i = 0; i < len; ++i) {
-        const std::uint32_t item = o[t.begin + i];
-        vals[i] = axis_coord(item, axis);
-        run += mass[item];
+        run += w[i];
         pref[i] = run;
       }
-      const std::size_t pos = simd::MinGapScan(pref, vals, len, total);
+      const std::size_t pos = simd::MinGapScan(pref, k, len, total);
       if (pos != simd::kNoSplit) {
         split_pos = t.begin + static_cast<std::uint32_t>(pos) + 1;
-        split_val = vals[pos + 1];
+        split_val = k[pos + 1];
+        left_mass = pref[pos];
       }
       split_found = pos != simd::kNoSplit;
       used_axis = axis;
@@ -133,35 +185,62 @@ KdCoreBuild KdBuildCore(const Coord* coords, int dims, const double* mass,
       }
       continue;
     }
-    // The used axis' order is already partitioned by position; stable-
-    // partition every other axis' order around the split coordinate so both
-    // children again see all orders sorted.
-    for (int a = 0; a < dims; ++a) {
-      if (a == used_axis) continue;
-      std::uint32_t* o2 = ord[a];
+    // The left mass is the prefix at the split (the same additions a fresh
+    // sum over the left range makes); the right mass is summed in the same
+    // order over the right range.
+    double right_mass = 0.0;
+    const double* wu = wt[used_axis];
+    for (std::uint32_t i = split_pos; i < t.end; ++i) right_mass += wu[i];
+
+    // The used axis' arrays are already partitioned by position; stable-
+    // partition every other axis' arrays by each item's side of the split
+    // (branch-free: every element is written to both candidate slots and
+    // only the matching cursor advances) so both children again see all
+    // axes sorted.
+    if (dims > 1) {
+      const std::uint32_t* ou = ord[used_axis];
+      for (std::uint32_t i = t.begin; i < t.end; ++i) {
+        is_left[ou[i]] = i < split_pos ? 1 : 0;
+      }
+    }
+    for (std::size_t a = 0; a < ud; ++a) {
+      if (static_cast<int>(a) == used_axis) continue;
+      std::uint32_t* o = ord[a];
+      Coord* k = key[a];
+      double* w = wt[a];
       std::uint32_t nl = t.begin, nr = 0;
       for (std::uint32_t i = t.begin; i < t.end; ++i) {
-        const std::uint32_t item = o2[i];
-        if (axis_coord(item, used_axis) < split_val) {
-          o2[nl++] = item;
-        } else {
-          part_tmp[nr++] = item;
-        }
+        const std::uint32_t item = o[i];
+        const Coord c = k[i];
+        const double m = w[i];
+        const std::uint32_t goes_left = is_left[item];
+        o[nl] = item;  // nl <= i: slot i is already read
+        k[nl] = c;
+        w[nl] = m;
+        tmp_ord[nr] = item;
+        tmp_key[nr] = c;
+        tmp_wt[nr] = m;
+        nl += goes_left;
+        nr += 1 - goes_left;
       }
       assert(nl == split_pos);
-      std::copy(part_tmp, part_tmp + nr, o2 + nl);
+      std::copy(tmp_ord, tmp_ord + nr, o + nl);
+      std::copy(tmp_key, tmp_key + nr, k + nl);
+      std::copy(tmp_wt, tmp_wt + nr, w + nl);
     }
 
     const std::int32_t left = num_nodes++;
     const std::int32_t right = num_nodes++;
     soa.Emplace(left, t.node);
     soa.Emplace(right, t.node);
+    soa.mass[left] = left_mass;
+    soa.mass[right] = right_mass;
     soa.axis[t.node] = used_axis;
     soa.split[t.node] = split_val;
     soa.left[t.node] = left;
     soa.right[t.node] = right;
-    stack[stack_size++] = {right, split_pos, t.end, t.depth + 1, used_axis};
-    stack[stack_size++] = {left, t.begin, split_pos, t.depth + 1, used_axis};
+    stack[stack_size++] = {right, split_pos, t.end, t.depth + 1};
+    stack[stack_size++] = {left, t.begin, split_pos, t.depth + 1};
   }
 
   assert(static_cast<std::size_t>(num_nodes) < node_cap);

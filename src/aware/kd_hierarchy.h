@@ -44,14 +44,15 @@ class KdHierarchy {
   ///
   /// The build is a thin wrapper over the shared dims-parameterized
   /// KdBuildCore (aware/kd_build_core.h) with dims = 2, the Point2D array
-  /// routed through its flat-coords facade: each axis is sorted once up
-  /// front and both axis orders are maintained through stable partitions,
-  /// so the per-level work is linear (the classic per-node re-sort made it
-  /// O(n log^2 n)). All working memory — axis orders, partition buffer,
-  /// task stack, and the SoA node accumulators — comes from the scratch
-  /// arena; builds against a warm scratch allocate only the returned tree.
-  /// The overload without a scratch uses an internal thread-local
-  /// workspace.
+  /// routed through its flat-coords facade: each axis is radix-sorted once
+  /// up front into an order with its coordinate and mass payloads, and all
+  /// axes are maintained through stable partitions, so the per-level work
+  /// is linear and reads sequentially (the classic per-node re-sort made
+  /// it O(n log^2 n)). All working memory — axis orders and payloads,
+  /// partition buffer, task stack, and the SoA node accumulators — comes
+  /// from the scratch arena; builds against a warm scratch allocate only
+  /// the returned tree. The overload without a scratch uses an internal
+  /// thread-local workspace.
   static KdHierarchy Build(const std::vector<Point2D>& pts,
                            const std::vector<double>& mass);
   static KdHierarchy Build(const std::vector<Point2D>& pts,
@@ -74,7 +75,8 @@ class KdHierarchy {
 
   /// Descends by split coordinates to the leaf region containing pt. Works
   /// for arbitrary points, not only build points. Returns kNull on an empty
-  /// tree.
+  /// tree. (The two-pass sampler does not use this per-node descent: it
+  /// locates through its own compact table; see aware/two_pass.h.)
   int LocateLeaf(const Point2D& pt) const;
 
   /// Minimal-depth nodes with mass <= limit ("s-leaves" of Appendix E).

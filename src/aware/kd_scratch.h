@@ -2,8 +2,9 @@
 // general-d KdHierarchyNd).
 //
 // One monotonic arena backs everything a build needs — per-axis item
-// orders, the stable-partition buffer, the task stack, and the SoA node
-// accumulators — so repeated builds against a warm scratch perform zero
+// orders with their coordinate and mass payloads, the partition (and radix
+// ping-pong) buffer, the task stack, and the SoA node accumulators — so
+// repeated builds against a warm scratch perform zero
 // heap allocations beyond the returned tree itself. See core/arena.h for
 // the ownership rules; builds Reset() the arena on entry, so one scratch
 // serves at most one build at a time.

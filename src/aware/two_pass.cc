@@ -3,9 +3,13 @@
 #include <algorithm>
 #include <cassert>
 #include <numeric>
+#include <stdexcept>
+#include <string>
 
+#include "aware/kd_build_core.h"
 #include "core/ipps.h"
 #include "core/pair_aggregate.h"
+#include "core/telemetry.h"
 #include "sampling/stream_varopt.h"
 #include "structure/order.h"
 
@@ -19,6 +23,14 @@ struct TwoPassProductSampler::Pass1State {
       : tau_tracker(s), guide(sprime, rng) {}
 };
 
+namespace {
+
+/// Items whose partition descents run in lockstep in Pass2Batch: enough
+/// independent loads in flight to overlap the table's cache misses.
+constexpr std::size_t kLocateLanes = 16;
+
+}  // namespace
+
 TwoPassProductSampler::TwoPassProductSampler(double s, TwoPassConfig cfg,
                                              Rng rng)
     : s_(s), cfg_(cfg), rng_(rng) {
@@ -29,81 +41,148 @@ TwoPassProductSampler::TwoPassProductSampler(double s, TwoPassConfig cfg,
 
 TwoPassProductSampler::~TwoPassProductSampler() = default;
 
+void TwoPassProductSampler::RequirePhase(Phase want, const char* call) const {
+  if (phase_ == want) return;
+  throw std::logic_error(std::string("TwoPassProductSampler: ") + call +
+                         (phase_ == Phase::kDone
+                              ? " after Finalize (the sampler is spent)"
+                              : " out of sequence (Pass1, BeginPass2, "
+                                "Pass2, Finalize)"));
+}
+
 void TwoPassProductSampler::Pass1(const WeightedKey& item) {
-  assert(!pass2_begun_);
+  RequirePhase(Phase::kPass1, "Pass1");
   pass1_->tau_tracker.Push(item.weight);
   pass1_->guide.Push(item);
 }
 
 void TwoPassProductSampler::BeginPass2() {
-  assert(!pass2_begun_);
-  pass2_begun_ = true;
+  static telemetry::Histogram* const partition_ns =
+      telemetry::GetHistogram("sas.twopass.partition_ns");
+  telemetry::Span span("twopass.partition", partition_ns);
+  RequirePhase(Phase::kPass1, "BeginPass2");
+  phase_ = Phase::kPass2;
   tau_ = pass1_->tau_tracker.tau();
 
   // Guide keys that would not be certain inclusions define the partition:
-  // the kd-tree is built over their positions with uniform mass.
+  // the kd-tree is built over their positions (flat x, y) with uniform
+  // mass.
   const Sample guide = pass1_->guide.ToSample();
-  std::vector<Point2D> pts;
+  std::vector<Coord> coords;
   for (const auto& k : guide.entries()) {
-    if (IppsProbability(k.weight, tau_) < 1.0) pts.push_back(k.pt);
+    if (IppsProbability(k.weight, tau_) < 1.0) {
+      coords.push_back(k.pt.x);
+      coords.push_back(k.pt.y);
+    }
   }
   pass1_.reset();  // release pass-1 memory, as a streaming system would
 
-  std::vector<double> ones(pts.size(), 1.0);
-  partition_ = KdHierarchy::Build(pts, ones);
-
-  // Dense cell ids for kd leaves; a degenerate (empty) partition gets one
-  // catch-all cell.
-  cell_of_leaf_.assign(std::max(partition_.num_nodes(), 1), -1);
-  int cells = 0;
-  for (int v = 0; v < partition_.num_nodes(); ++v) {
-    if (partition_.nodes()[v].IsLeaf()) cell_of_leaf_[v] = cells++;
+  // Flatten the kd tree into the locate table: the core emits siblings as
+  // consecutive ids (right = left + 1), so node ids carry over unchanged
+  // and a leaf's `next` becomes its dense cell id. A degenerate (empty)
+  // partition is one catch-all leaf, cell 0.
+  const std::size_t n = coords.size() / 2;
+  locate_.assign(1, LocateNode{});
+  std::int32_t cells = 1;
+  if (n > 0) {
+    thread_local KdBuildScratch scratch;
+    std::vector<std::size_t> item_order;
+    const std::vector<double> ones(n, 1.0);
+    const KdCoreBuild core = KdBuildCore(coords.data(), /*dims=*/2,
+                                         ones.data(), n, &scratch,
+                                         &item_order);
+    const KdNodeSoA& soa = core.soa;
+    locate_.resize(static_cast<std::size_t>(core.num_nodes));
+    cells = 0;
+    for (std::int32_t v = 0; v < core.num_nodes; ++v) {
+      LocateNode& node = locate_[static_cast<std::size_t>(v)];
+      if (soa.left[v] == kKdNull) {
+        node = {0, cells++, -1};
+      } else {
+        assert(soa.right[v] == soa.left[v] + 1);
+        node = {soa.split[v], soa.left[v], soa.axis[v]};
+      }
+    }
   }
-  if (cells == 0) cells = 1;
-  active_.assign(cells, {});
+  active_.assign(static_cast<std::size_t>(cells), {});
+}
+
+void TwoPassProductSampler::Pass2Batch(std::span<const WeightedKey> items) {
+  static telemetry::Histogram* const pass2_ns =
+      telemetry::GetHistogram("sas.twopass.pass2_ns");
+  telemetry::Span span("twopass.pass2", pass2_ns);
+  RunPass2(items);
 }
 
 void TwoPassProductSampler::Pass2(const WeightedKey& item) {
-  assert(pass2_begun_);
-  if (item.weight <= 0.0) return;
-  double p = SnapProbability(IppsProbability(item.weight, tau_));
-  if (p == 1.0) {
-    sample_.push_back(item);  // certain inclusion
-    return;
-  }
-  if (p == 0.0) return;
-  const int leaf = partition_.LocateLeaf(item.pt);
-  const int cell = leaf == KdHierarchy::kNull ? 0 : cell_of_leaf_[leaf];
-  ActiveKey& a = active_[cell];
-  if (!a.present) {
-    a.key = item;
-    a.p = p;
-    a.present = true;
-    return;
-  }
-  // IO-AGGREGATE (Algorithm 3): aggregate the arriving key with the cell's
-  // active key; whichever becomes certain joins the sample, and the one
-  // left open (if any) stays active.
-  PairAggregate(&p, &a.p, &rng_);
-  if (a.p == 1.0) sample_.push_back(a.key);
-  if (!IsSet(a.p)) {
-    // a remains the active key with its leftover probability.
-  } else {
-    a.present = false;
-  }
-  if (p == 1.0) sample_.push_back(item);
-  if (!IsSet(p)) {
-    assert(!a.present);
-    a.key = item;
-    a.p = p;
-    a.present = true;
+  RunPass2({&item, 1});
+}
+
+void TwoPassProductSampler::RunPass2(std::span<const WeightedKey> items) {
+  RequirePhase(Phase::kPass2, "Pass2");
+  const LocateNode* table = locate_.data();
+  for (std::size_t base = 0; base < items.size(); base += kLocateLanes) {
+    const std::size_t lanes = std::min(kLocateLanes, items.size() - base);
+    const WeightedKey* chunk = items.data() + base;
+
+    // Locate: every lane steps one level per round until all sit on a
+    // leaf; the lanes' table loads are independent, so their misses
+    // overlap. (Lanes whose item turns out certain or zero descend too;
+    // the aggregation below ignores their cell.)
+    std::int32_t node[kLocateLanes] = {};
+    for (bool moved = true; moved;) {
+      moved = false;
+      for (std::size_t k = 0; k < lanes; ++k) {
+        const LocateNode& nd = table[node[k]];
+        if (nd.axis < 0) continue;
+        const Coord c = nd.axis == 0 ? chunk[k].pt.x : chunk[k].pt.y;
+        node[k] = nd.next + (c < nd.split ? 0 : 1);
+        moved = true;
+      }
+    }
+
+    // IO-AGGREGATE (Algorithm 3) in input order: aggregate each arriving
+    // key with its cell's active key; whichever becomes certain joins the
+    // sample, and the one left open (if any) stays active.
+    for (std::size_t k = 0; k < lanes; ++k) {
+      const WeightedKey& item = chunk[k];
+      if (item.weight <= 0.0) continue;
+      double p = SnapProbability(IppsProbability(item.weight, tau_));
+      if (p == 1.0) {
+        sample_.push_back(item);  // certain inclusion
+        continue;
+      }
+      if (p == 0.0) continue;
+      ActiveKey& a = active_[static_cast<std::size_t>(table[node[k]].next)];
+      if (!a.present) {
+        a.key = item;
+        a.p = p;
+        a.present = true;
+        continue;
+      }
+      PairAggregate(&p, &a.p, &rng_);
+      if (a.p == 1.0) sample_.push_back(a.key);
+      if (IsSet(a.p)) a.present = false;
+      if (p == 1.0) sample_.push_back(item);
+      if (!IsSet(p)) {
+        assert(!a.present);
+        a.key = item;
+        a.p = p;
+        a.present = true;
+      }
+    }
   }
 }
 
 Sample TwoPassProductSampler::Finalize() {
-  assert(pass2_begun_);
-  // Gather the active keys and aggregate them bottom-up along the kd-tree
-  // (the partition *is* the hierarchy h of Section 5).
+  static telemetry::Histogram* const final_ns =
+      telemetry::GetHistogram("sas.twopass.final_ns");
+  telemetry::Span span("twopass.final", final_ns);
+  RequirePhase(Phase::kPass2, "Finalize");
+  phase_ = Phase::kDone;
+  // Gather the active keys and aggregate them bottom-up along the locate
+  // table (the partition *is* the hierarchy h of Section 5; children have
+  // larger ids than their parent, so a reverse scan is bottom-up).
   std::vector<WeightedKey> akeys;
   std::vector<double> aprobs;
   std::vector<std::size_t> entry_of_cell(active_.size(), kNoEntry);
@@ -114,35 +193,26 @@ Sample TwoPassProductSampler::Finalize() {
       aprobs.push_back(active_[c].p);
     }
   }
-  const int n = partition_.num_nodes();
-  std::size_t root_leftover = kNoEntry;
   RngStream draws(&rng_);
-  if (n == 0) {
-    // Catch-all cell only.
-    if (entry_of_cell[0] != kNoEntry) root_leftover = entry_of_cell[0];
-  } else {
-    std::vector<std::size_t> leftover(n, kNoEntry);
-    std::vector<std::size_t> entries;
-    for (int v = n - 1; v >= 0; --v) {
-      const auto& node = partition_.nodes()[v];
-      entries.clear();
-      if (node.IsLeaf()) {
-        const std::size_t e = entry_of_cell[cell_of_leaf_[v]];
-        if (e != kNoEntry && !IsSet(aprobs[e])) entries.push_back(e);
-      } else {
-        if (leftover[node.left] != kNoEntry) {
-          entries.push_back(leftover[node.left]);
-        }
-        if (leftover[node.right] != kNoEntry) {
-          entries.push_back(leftover[node.right]);
-        }
+  std::vector<std::size_t> leftover(locate_.size(), kNoEntry);
+  std::vector<std::size_t> entries;
+  for (std::size_t v = locate_.size(); v-- > 0;) {
+    const LocateNode& node = locate_[v];
+    const auto next = static_cast<std::size_t>(node.next);
+    entries.clear();
+    if (node.axis < 0) {
+      const std::size_t e = entry_of_cell[next];
+      if (e != kNoEntry && !IsSet(aprobs[e])) entries.push_back(e);
+    } else {
+      if (leftover[next] != kNoEntry) entries.push_back(leftover[next]);
+      if (leftover[next + 1] != kNoEntry) {
+        entries.push_back(leftover[next + 1]);
       }
-      leftover[v] = ChainAggregateRange(aprobs.data(), entries.data(),
-                                        entries.size(), kNoEntry, &draws);
     }
-    root_leftover = leftover[partition_.root()];
+    leftover[v] = ChainAggregateRange(aprobs.data(), entries.data(),
+                                      entries.size(), kNoEntry, &draws);
   }
-  ResolveResidual(aprobs.data(), root_leftover, &draws);
+  ResolveResidual(aprobs.data(), leftover[0], &draws);
   draws.Flush();
   for (std::size_t e = 0; e < akeys.size(); ++e) {
     if (aprobs[e] == 1.0) sample_.push_back(akeys[e]);
@@ -156,7 +226,7 @@ Sample TwoPassProductSample(const std::vector<WeightedKey>& items, double s,
   TwoPassProductSampler sampler(s, cfg, rng->Split());
   for (const auto& it : items) sampler.Pass1(it);
   sampler.BeginPass2();
-  for (const auto& it : items) sampler.Pass2(it);
+  sampler.Pass2Batch(items);
   return sampler.Finalize();
 }
 

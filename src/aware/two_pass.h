@@ -14,15 +14,22 @@
 // Partitions are provided for product structures (kd-tree over S'), order
 // structures (subintervals between consecutive S' keys) and hierarchies
 // (linearization — giving Delta < 2 — per the paper's discussion).
+//
+// The product sampler's pass 2 is batched: Pass2Batch locates 16 items at
+// a time in a compact 16-byte-per-node table and aggregates them in input
+// order, bit-identical to a per-item Pass2 loop, in O(cells) memory. Its
+// phases record the `twopass.partition`, `twopass.pass2` and
+// `twopass.final` telemetry spans.
 
 #ifndef SAS_AWARE_TWO_PASS_H_
 #define SAS_AWARE_TWO_PASS_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
-#include "aware/kd_hierarchy.h"
 #include "core/random.h"
 #include "core/sample.h"
 #include "core/types.h"
@@ -36,9 +43,17 @@ struct TwoPassConfig {
 };
 
 /// Streaming two-pass summarizer for 2-D product structures. Call Pass1
-/// over every item, then BeginPass2, then Pass2 over every item (any
-/// order), then Finalize. The convenience function below wraps this for
-/// in-memory vectors, iterating them like a stream.
+/// over every item, then BeginPass2, then Pass2Batch (or Pass2) over every
+/// item (any order, any batching), then Finalize; a call out of that
+/// sequence throws std::logic_error. The convenience function below wraps
+/// this for in-memory vectors, iterating them like a stream.
+///
+/// The partition is the kd tree over the guide keys, flattened by
+/// BeginPass2 into a 16-byte-per-node locate table (split, next, axis):
+/// siblings are adjacent, an internal node's `next` is its left child (the
+/// right one is next + 1), and a leaf's `next` is its cell id. Pass 2
+/// descends that table and Finalize aggregates bottom-up along it, so
+/// pass-2 memory is O(cells) and no pointer-based tree outlives BeginPass2.
 class TwoPassProductSampler {
  public:
   TwoPassProductSampler(double s, TwoPassConfig cfg, Rng rng);
@@ -49,6 +64,15 @@ class TwoPassProductSampler {
   /// Builds the partition from the pass-1 state. Memory O(s').
   void BeginPass2();
 
+  /// Pass 2 over a batch of items: locates the batch's cells 16 items at a
+  /// time, descending the table in lockstep so their cache misses overlap,
+  /// then runs IO-AGGREGATE (Algorithm 3) over the items in input order.
+  /// Bit-identical to calling Pass2 on each item in turn: the same tau,
+  /// the same draws, and the same sample entries in the same order.
+  void Pass2Batch(std::span<const WeightedKey> items);
+
+  /// Pass 2 over one item: the Pass2Batch body on a batch of one (without
+  /// the phase span, which would cost more than the item).
   void Pass2(const WeightedKey& item);
 
   /// Aggregates the remaining active keys along the kd-tree and returns the
@@ -61,11 +85,16 @@ class TwoPassProductSampler {
   std::size_t num_cells() const { return active_.size(); }
 
  private:
+  enum class Phase { kPass1, kPass2, kDone };
+  void RequirePhase(Phase want, const char* call) const;
+  void RunPass2(std::span<const WeightedKey> items);
+
   double s_;
   TwoPassConfig cfg_;
   // sas-lint: allow(unforked-rng): member slot only; every constructor
   // copies it from the caller-provided generator.
   Rng rng_;
+  Phase phase_ = Phase::kPass1;
 
   // Pass-1 state (defined in two_pass.cc to keep this header light).
   struct Pass1State;
@@ -73,8 +102,14 @@ class TwoPassProductSampler {
 
   // Pass-2 state.
   double tau_ = 0.0;
-  KdHierarchy partition_;
-  std::vector<int> cell_of_leaf_;  // kd node id -> cell index
+  /// One node of the flattened partition; axis < 0 marks a leaf.
+  struct LocateNode {
+    Coord split = 0;        // points with axis-coord < split go to `next`
+    std::int32_t next = 0;  // left child (right = next + 1), or leaf cell
+    std::int32_t axis = -1;
+  };
+  static_assert(sizeof(LocateNode) == 16);
+  std::vector<LocateNode> locate_;  // node 0 is the root
   struct ActiveKey {
     WeightedKey key;
     double p = 0.0;
@@ -82,7 +117,6 @@ class TwoPassProductSampler {
   };
   std::vector<ActiveKey> active_;  // one slot per cell
   std::vector<WeightedKey> sample_;
-  bool pass2_begun_ = false;
 };
 
 /// Convenience wrapper: runs both passes over `items` and returns the

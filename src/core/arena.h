@@ -55,7 +55,10 @@ class MonotonicArena {
     // has at most O(log total) blocks and Reset() reuse is near-contiguous.
     std::size_t want = next_block_bytes_;
     if (want < bytes + align) want = bytes + align;
-    blocks_.push_back({std::make_unique<std::byte[]>(want), want});
+    // Not zero-filled: callers write before they read, and capacity a
+    // build never touches is never paged in.
+    blocks_.push_back(
+        {std::make_unique_for_overwrite<std::byte[]>(want), want});
     next_block_bytes_ = want * 2;
     block_ = blocks_.size() - 1;
     const std::size_t p =

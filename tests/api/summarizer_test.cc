@@ -143,6 +143,29 @@ TEST(Summarizer, TwoPassBuildersGiveExactSizes) {
   }
 }
 
+TEST(AwareBuilder, AddAfterFinalizeThrows) {
+  // The two-pass sampler releases its pass-1 state at Finalize, so a
+  // finalized aware builder is spent: Add and AddBatch must fail fast
+  // instead of dereferencing the released state.
+  SummarizerConfig cfg;
+  cfg.s = 10.0;
+  auto builder = MakeSummarizer(keys::kAware, cfg);
+  builder->Add({0, 1.0, {0, 0}});
+  (void)builder->Finalize();
+  EXPECT_THROW(builder->Add({1, 1.0, {1, 0}}), std::logic_error);
+  const std::vector<WeightedKey> batch = {{2, 1.0, {2, 0}}};
+  EXPECT_THROW(builder->AddBatch(batch), std::logic_error);
+}
+
+TEST(AwareBuilder, FinalizeAfterFinalizeThrows) {
+  SummarizerConfig cfg;
+  cfg.s = 10.0;
+  auto builder = MakeSummarizer(keys::kAware, cfg);
+  builder->Add({0, 1.0, {0, 0}});
+  (void)builder->Finalize();
+  EXPECT_THROW(builder->Finalize(), std::logic_error);
+}
+
 TEST(Summarizer, AddCoordsOnlySupportedByNd) {
   SummarizerConfig cfg;
   cfg.s = 5.0;

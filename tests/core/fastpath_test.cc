@@ -19,6 +19,11 @@
 //    unified core — including the 2-D path's flat-coords facade over
 //    Point2D — reproduces the pre-unification builds exactly, so the
 //    golden seeds did not need re-recording.
+//  * The radix-sorted, payload-carrying kd build against a verbatim copy
+//    of the sort-once build it replaced (ref::KdBuildSortOnce), bit for
+//    bit on every input: heavy duplicates, identical points, coordinates
+//    that need all eight radix bytes, an all-zero axis, n <= 3, d in
+//    {1, 3, 4}.
 //  * Aggregation passes of every summarizer family (order / hierarchy /
 //    product / disjoint / nd), run against the reference chain given the
 //    same inputs.
@@ -33,6 +38,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <numeric>
@@ -311,6 +317,140 @@ KdTreeNd KdBuildNd(const std::vector<Coord>& coords, int dims,
     nd.right = right;
     stack.push_back({right, split_pos, t.end, t.depth + 1});
     stack.push_back({left, t.begin, split_pos, t.depth + 1});
+  }
+  return tree;
+}
+
+/// The sort-once kd build as it stood before its payload arrays: one
+/// comparison-sorted item order per axis (coordinate, then index), node
+/// masses summed along the parent's split axis, and coordinates gathered
+/// through coords[item * dims + axis] at every step. Unlike the classic
+/// builds above it is fully specified on duplicate points (ties are
+/// index-ordered), so it pins the current build bit for bit on any input.
+struct SortOnceTree {
+  std::vector<KdHierarchy::Node> nodes;
+  std::vector<std::size_t> item_order;
+};
+
+SortOnceTree KdBuildSortOnce(const Coord* coords, int dims,
+                             const std::vector<double>& mass) {
+  SortOnceTree tree;
+  const std::size_t n = mass.size();
+  if (n == 0) return tree;
+  auto axis_coord = [&](std::uint32_t item, int axis) {
+    return coords[static_cast<std::size_t>(item) * dims + axis];
+  };
+  std::vector<std::vector<std::uint32_t>> ord(dims);
+  for (int axis = 0; axis < dims; ++axis) {
+    ord[axis].resize(n);
+    std::iota(ord[axis].begin(), ord[axis].end(), 0u);
+    std::sort(ord[axis].begin(), ord[axis].end(),
+              [&](std::uint32_t a, std::uint32_t b) {
+                const Coord ca = axis_coord(a, axis);
+                const Coord cb = axis_coord(b, axis);
+                return ca != cb ? ca < cb : a < b;
+              });
+  }
+  std::vector<std::uint32_t> part_tmp(n);
+  std::vector<double> pref(n);
+  std::vector<Coord> vals(n);
+  struct Task {
+    int node;
+    std::uint32_t begin, end;
+    int depth;
+    int parent_axis;
+  };
+  tree.item_order.resize(n);
+  tree.nodes.push_back({});
+  std::vector<Task> stack{{0, 0, static_cast<std::uint32_t>(n), 0, -1}};
+  while (!stack.empty()) {
+    const Task t = stack.back();
+    stack.pop_back();
+    tree.nodes[t.node].begin = t.begin;
+    tree.nodes[t.node].end = t.end;
+    double total = 0.0;
+    if (t.parent_axis < 0) {
+      for (std::uint32_t i = t.begin; i < t.end; ++i) total += mass[i];
+    } else {
+      for (std::uint32_t i = t.begin; i < t.end; ++i) {
+        total += mass[ord[t.parent_axis][i]];
+      }
+    }
+    tree.nodes[t.node].mass = total;
+    if (t.end - t.begin <= 1) {
+      if (t.end > t.begin) tree.item_order[t.begin] = ord[0][t.begin];
+      continue;
+    }
+    int axis = t.depth % dims;
+    int used_axis = axis;
+    bool split_found = false;
+    std::uint32_t split_pos = t.begin;
+    Coord split_val = 0;
+    for (int attempt = 0; attempt < dims && !split_found;
+         ++attempt, axis = (axis + 1) % dims) {
+      const std::vector<std::uint32_t>& o = ord[axis];
+      if (axis_coord(o[t.begin], axis) == axis_coord(o[t.end - 1], axis)) {
+        continue;
+      }
+      const std::uint32_t len = t.end - t.begin;
+      double run = 0.0;
+      for (std::uint32_t i = 0; i < len; ++i) {
+        const std::uint32_t item = o[t.begin + i];
+        vals[i] = axis_coord(item, axis);
+        run += mass[item];
+        pref[i] = run;
+      }
+      std::size_t pos = simd::kNoSplit;
+      double best_gap = std::numeric_limits<double>::infinity();
+      for (std::size_t i = 0; i + 1 < len; ++i) {
+        if (vals[i] == vals[i + 1]) continue;
+        const double gap = std::fabs(total - 2.0 * pref[i]);
+        if (gap < best_gap) {
+          best_gap = gap;
+          pos = i;
+        }
+      }
+      if (pos != simd::kNoSplit) {
+        split_pos = t.begin + static_cast<std::uint32_t>(pos) + 1;
+        split_val = vals[pos + 1];
+      }
+      split_found = pos != simd::kNoSplit;
+      used_axis = axis;
+    }
+    if (!split_found) {
+      const std::vector<std::uint32_t>& o = ord[(t.depth + dims - 1) % dims];
+      for (std::uint32_t i = t.begin; i < t.end; ++i) {
+        tree.item_order[i] = o[i];
+      }
+      continue;
+    }
+    for (int a = 0; a < dims; ++a) {
+      if (a == used_axis) continue;
+      std::vector<std::uint32_t>& o2 = ord[a];
+      std::uint32_t nl = t.begin, nr = 0;
+      for (std::uint32_t i = t.begin; i < t.end; ++i) {
+        const std::uint32_t item = o2[i];
+        if (axis_coord(item, used_axis) < split_val) {
+          o2[nl++] = item;
+        } else {
+          part_tmp[nr++] = item;
+        }
+      }
+      std::copy(part_tmp.begin(), part_tmp.begin() + nr, o2.begin() + nl);
+    }
+    const int left = static_cast<int>(tree.nodes.size());
+    tree.nodes.push_back({});
+    const int right = static_cast<int>(tree.nodes.size());
+    tree.nodes.push_back({});
+    KdHierarchy::Node& nd = tree.nodes[t.node];
+    nd.axis = used_axis;
+    nd.split = split_val;
+    nd.left = left;
+    nd.right = right;
+    tree.nodes[left].parent = t.node;
+    tree.nodes[right].parent = t.node;
+    stack.push_back({right, split_pos, t.end, t.depth + 1, used_axis});
+    stack.push_back({left, t.begin, split_pos, t.depth + 1, used_axis});
   }
   return tree;
 }
@@ -842,6 +982,146 @@ TEST(FastKdBuildNd, BitIdenticalToReferenceOnDistinctPoints) {
         ASSERT_EQ(a.mass, b.mass);
       }
       ASSERT_EQ(got.item_order(), want.item_order);
+    }
+  }
+}
+
+// --- Kd builds against the sort-once reference ----------------------------
+//
+// The radix-sorted, payload-carrying build must reproduce the sort-once
+// build on every input, duplicates included: same nodes, masses (bit for
+// bit), leaf ranges and item order.
+
+/// Flat interleaved copy of 2-D points.
+std::vector<Coord> Flatten(const std::vector<Point2D>& pts) {
+  std::vector<Coord> flat;
+  for (const Point2D& p : pts) {
+    flat.push_back(p.x);
+    flat.push_back(p.y);
+  }
+  return flat;
+}
+
+void ExpectSameAsSortOnce2D(const std::vector<Point2D>& pts,
+                            const std::vector<double>& mass) {
+  const KdHierarchy got = KdHierarchy::Build(pts, mass);
+  const std::vector<Coord> flat = Flatten(pts);
+  const ref::SortOnceTree want = ref::KdBuildSortOnce(flat.data(), 2, mass);
+  ASSERT_EQ(got.nodes().size(), want.nodes.size());
+  for (std::size_t v = 0; v < want.nodes.size(); ++v) {
+    const auto& a = got.nodes()[v];
+    const auto& b = want.nodes[v];
+    ASSERT_EQ(a.parent, b.parent) << "node " << v;
+    ASSERT_EQ(a.left, b.left) << "node " << v;
+    ASSERT_EQ(a.right, b.right) << "node " << v;
+    ASSERT_EQ(a.axis, b.axis) << "node " << v;
+    ASSERT_EQ(a.split, b.split) << "node " << v;
+    ASSERT_EQ(a.begin, b.begin) << "node " << v;
+    ASSERT_EQ(a.end, b.end) << "node " << v;
+    ASSERT_EQ(a.mass, b.mass) << "node " << v;
+  }
+  ASSERT_EQ(got.item_order(), want.item_order);
+}
+
+void ExpectSameAsSortOnceNd(const std::vector<Coord>& coords, int dims,
+                            const std::vector<double>& mass) {
+  const KdHierarchyNd got = KdHierarchyNd::Build(coords, dims, mass);
+  const ref::SortOnceTree want =
+      ref::KdBuildSortOnce(coords.data(), dims, mass);
+  ASSERT_EQ(got.nodes().size(), want.nodes.size()) << "dims=" << dims;
+  for (std::size_t v = 0; v < want.nodes.size(); ++v) {
+    const auto& a = got.nodes()[v];
+    const auto& b = want.nodes[v];
+    ASSERT_EQ(a.left, b.left) << "node " << v;
+    ASSERT_EQ(a.right, b.right) << "node " << v;
+    ASSERT_EQ(a.axis, b.axis) << "node " << v;
+    ASSERT_EQ(a.split, b.split) << "node " << v;
+    ASSERT_EQ(a.begin, b.begin) << "node " << v;
+    ASSERT_EQ(a.end, b.end) << "node " << v;
+    ASSERT_EQ(a.mass, b.mass) << "node " << v;
+  }
+  ASSERT_EQ(got.item_order(), want.item_order);
+}
+
+std::vector<double> RandomMass(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> mass(n);
+  for (auto& m : mass) m = 0.01 + 0.98 * rng.NextDouble();
+  return mass;
+}
+
+TEST(FastKdBuild, BitIdenticalToSortOnceOnHeavyDuplicates) {
+  // A handful of distinct coordinates per axis: most boundaries are ties,
+  // most leaves hold several duplicates.
+  for (std::size_t n : {50u, 777u, 4000u}) {
+    Rng rng(500 + n);
+    std::vector<Point2D> pts(n);
+    for (auto& p : pts) p = {rng.NextBounded(6), rng.NextBounded(3)};
+    ExpectSameAsSortOnce2D(pts, RandomMass(n, n));
+    ExpectSameAsSortOnce2D(pts, std::vector<double>(n, 1.0));
+  }
+}
+
+TEST(FastKdBuild, BitIdenticalToSortOnceOnIdenticalPoints) {
+  for (std::size_t n : {1u, 2u, 3u, 100u}) {
+    const std::vector<Point2D> pts(n, Point2D{12345, 678});
+    ExpectSameAsSortOnce2D(pts, RandomMass(n, 600 + n));
+  }
+}
+
+TEST(FastKdBuild, WideCoordinatesUseAllEightBytes) {
+  // Coordinates >= 2^56 that differ in every byte, so the radix sort must
+  // run all eight passes; duplicate-free, so the classic build agrees too.
+  const std::size_t n = 1500;
+  Rng rng(700);
+  std::vector<Point2D> pts(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    pts[i] = {(Coord{1} << 63) | (rng.Next() >> 1) | (i & 1),
+              (Coord{0xFF} << 56) | rng.Next() >> 8};
+  }
+  const std::vector<double> mass = RandomMass(n, 701);
+  ExpectSameAsSortOnce2D(pts, mass);
+  ExpectSameTree2D(KdHierarchy::Build(pts, mass), ref::KdBuild(pts, mass));
+  // Top-byte-only variation: every lower byte shared, one radix pass.
+  for (std::size_t i = 0; i < n; ++i) {
+    pts[i] = {Coord{i % 200} << 56, Coord{i % 7} << 56 | 0xABCD};
+  }
+  ExpectSameAsSortOnce2D(pts, mass);
+}
+
+TEST(FastKdBuild, AllZeroAxisAndTinyInputs) {
+  for (std::size_t n : {1u, 2u, 3u, 300u}) {
+    std::vector<Point2D> pts(n);
+    Rng rng(800 + n);
+    for (auto& p : pts) p = {0, rng.NextBounded(1 << 20)};
+    const std::vector<double> mass = RandomMass(n, 801 + n);
+    ExpectSameAsSortOnce2D(pts, mass);
+    for (auto& p : pts) p = {rng.NextBounded(1 << 20), 0};
+    ExpectSameAsSortOnce2D(pts, mass);
+    ExpectSameAsSortOnce2D(DistinctPoints(n), mass);
+  }
+}
+
+TEST(FastKdBuildNd, BitIdenticalToSortOnceAcrossDims) {
+  for (int dims : {1, 3, 4}) {
+    for (std::size_t n : {1u, 2u, 3u, 64u, 999u}) {
+      Rng rng(900 + n * dims);
+      const auto ud = static_cast<std::size_t>(dims);
+      std::vector<Coord> coords(n * ud);
+      const std::vector<double> mass = RandomMass(n, 901 + n);
+      // Heavy duplicates.
+      for (auto& c : coords) c = rng.NextBounded(4);
+      ExpectSameAsSortOnceNd(coords, dims, mass);
+      // Wide coordinates with one all-zero axis.
+      for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t a = 0; a < ud; ++a) {
+          coords[i * ud + a] = a == ud - 1 && dims > 1 ? 0 : rng.Next();
+        }
+      }
+      ExpectSameAsSortOnceNd(coords, dims, mass);
+      // All points identical.
+      std::fill(coords.begin(), coords.end(), Coord{99});
+      ExpectSameAsSortOnceNd(coords, dims, mass);
     }
   }
 }

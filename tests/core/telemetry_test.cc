@@ -308,6 +308,47 @@ TEST(TelemetryConfig, GlobalDisableIsTheDefaultOffSwitch) {
   EXPECT_EQ(accepted->value(), before);
 }
 
+/// Trace events named `name` in the Chrome-trace export.
+int TraceEventCount(const std::string& trace, const std::string& name) {
+  const std::string needle = "{\"name\":\"" + name + "\"";
+  int count = 0;
+  for (std::size_t at = trace.find(needle); at != std::string::npos;
+       at = trace.find(needle, at + 1)) {
+    ++count;
+  }
+  return count;
+}
+
+TEST(TelemetryPhaseSpans, ArmedAwareBuildRecordsEachPhaseOnce) {
+  ScopedEnabled on(true);
+  std::vector<WeightedKey> items;
+  for (KeyId i = 0; i < 400; ++i) {
+    items.push_back({i, 1.0 + static_cast<double>(i % 13),
+                     {(i * 2654435761ULL) & 0xFFFF, (i * 40503ULL) & 0xFFFF}});
+  }
+  SummarizerConfig cfg;
+  cfg.s = 20.0;
+  cfg.seed = 3;
+  const char* const phases[] = {"build.kd", "twopass.partition",
+                                "twopass.pass2", "twopass.final"};
+  const char* const hists[] = {"sas.build.kd_ns", "sas.twopass.partition_ns",
+                               "sas.twopass.pass2_ns", "sas.twopass.final_ns"};
+  std::uint64_t before[4];
+  for (int k = 0; k < 4; ++k) before[k] = GetHistogram(hists[k])->count();
+  ClearTraceEvents();
+
+  auto builder = MakeSummarizer("aware", cfg);
+  builder->AddBatch(items);
+  (void)builder->Finalize();
+
+  const std::string trace = ChromeTraceJson();
+  for (int k = 0; k < 4; ++k) {
+    EXPECT_EQ(GetHistogram(hists[k])->count() - before[k], 1u) << hists[k];
+    EXPECT_EQ(TraceEventCount(trace, phases[k]), 1) << phases[k];
+  }
+  ClearTraceEvents();
+}
+
 }  // namespace
 }  // namespace telemetry
 }  // namespace sas

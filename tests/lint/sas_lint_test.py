@@ -83,9 +83,22 @@ class SasLintTest(unittest.TestCase):
 
 
 class RunClangTidyTest(unittest.TestCase):
+    def setUp(self):
+        # The compile DB naming the fixture TU is written per test into a
+        # temp build dir, so the suite needs no generated file in the tree.
+        tmp = tempfile.TemporaryDirectory()
+        self.addCleanup(tmp.cleanup)
+        self.build_dir = tmp.name
+        db = [{"directory": REPO_ROOT,
+               "command": "c++ -c tests/lint/fixtures/tidy/src/fake.cc",
+               "file": "tests/lint/fixtures/tidy/src/fake.cc"}]
+        with open(os.path.join(self.build_dir, "compile_commands.json"), "w",
+                  encoding="utf-8") as f:
+            json.dump(db, f)
+
     def tidy(self, baseline, clean=False, extra=None):
         env = {"FAKE_TIDY_CLEAN": "1"} if clean else {"FAKE_TIDY_CLEAN": "0"}
-        argv = [RUN_TIDY, "--build-dir", TIDY_FIXTURE,
+        argv = [RUN_TIDY, "--build-dir", self.build_dir,
                 "--clang-tidy", FAKE_TIDY,
                 "--baseline", os.path.join(TIDY_FIXTURE, baseline),
                 "tests/lint/fixtures/tidy/src"]
@@ -117,7 +130,7 @@ class RunClangTidyTest(unittest.TestCase):
             shutil.copy(os.path.join(TIDY_FIXTURE, "baseline_empty.txt"),
                         baseline)
             env = {"FAKE_TIDY_CLEAN": "0"}
-            proc = run([RUN_TIDY, "--build-dir", TIDY_FIXTURE,
+            proc = run([RUN_TIDY, "--build-dir", self.build_dir,
                         "--clang-tidy", FAKE_TIDY, "--baseline", baseline,
                         "--update-baseline",
                         "tests/lint/fixtures/tidy/src"], env=env)
@@ -126,7 +139,7 @@ class RunClangTidyTest(unittest.TestCase):
                 content = f.read()
             self.assertIn("bugprone-fixture", content)
             # The updated baseline now grandfathers the diagnostic.
-            proc = run([RUN_TIDY, "--build-dir", TIDY_FIXTURE,
+            proc = run([RUN_TIDY, "--build-dir", self.build_dir,
                         "--clang-tidy", FAKE_TIDY, "--baseline", baseline,
                         "tests/lint/fixtures/tidy/src"], env=env)
             self.assertEqual(proc.returncode, 0, proc.stdout)
@@ -164,7 +177,7 @@ class RunClangTidyTest(unittest.TestCase):
             self.assertIn("checks none", ipps_lines[0])
 
     def test_missing_tool_skips_by_default_fails_when_required(self):
-        argv = [RUN_TIDY, "--build-dir", TIDY_FIXTURE,
+        argv = [RUN_TIDY, "--build-dir", self.build_dir,
                 "--clang-tidy", "/nonexistent/clang-tidy",
                 "--baseline",
                 os.path.join(TIDY_FIXTURE, "baseline_empty.txt"),
