@@ -1,9 +1,11 @@
 // Micro-benchmarks (google-benchmark) for the lock-free serving tier
 // (src/serve/): snapshot build cost at publish time, the accelerated
 // bit-identical box/subset estimates against the linear Sample scans they
-// replace, O(1) alias-table draws, and the mixed workload the tier exists
-// for — concurrent reader threads acquiring and querying snapshots while
-// one publisher keeps republishing. The mixed benchmark reports reader
+// replace (on a snapshot, and on a finalized SampleSummary answering
+// 25-rectangle queries from the same box index), O(1) alias-table draws,
+// and the mixed workload the tier exists for — concurrent reader threads
+// acquiring and querying snapshots while one publisher keeps
+// republishing. The mixed benchmark reports reader
 // acquire+query latency percentiles (p50/p95/p99, nanoseconds) as
 // counters. Baselines are checked into BENCH_serve.json and gated by
 // bench/compare_bench.py in CI.
@@ -18,6 +20,7 @@
 #include <thread>
 #include <vector>
 
+#include "api/summary.h"
 #include "core/random.h"
 #include "core/sample.h"
 #include "serve/query_service.h"
@@ -42,8 +45,8 @@ Sample ParetoSample(std::size_t s, std::uint64_t seed) {
 
 /// A selective box: uniform corner, sides up to 1/16 of each axis — the
 /// drill-down shape a serving dashboard issues (the accelerated path is
-/// output-sensitive; a box covering most of the domain degenerates to the
-/// linear scan plus a sort, which is not the regime the tier serves).
+/// output-sensitive; a box covering most of the domain degenerates to a
+/// scan of most of the index, which is not the regime the tier serves).
 Box RandomBox(Rng* rng) {
   const Coord x0 = rng->NextBounded(1 << 20);
   const Coord y0 = rng->NextBounded(1 << 20);
@@ -81,9 +84,9 @@ void BM_LinearBox(benchmark::State& state) {
 }
 BENCHMARK(BM_LinearBox)->Arg(1 << 10)->Arg(1 << 14);
 
-/// The accelerated bit-identical path over the same boxes: x-localized
-/// binary search plus the entry-order re-sort (O(log s + k log k)); returns
-/// the same bits as BM_LinearBox query for query.
+/// The accelerated bit-identical path over the same boxes: the box index's
+/// x-localized binary search, y test and position-bitmap sum; returns the
+/// same bits as BM_LinearBox query for query.
 void BM_ServeQueryBox(benchmark::State& state) {
   const std::size_t s = static_cast<std::size_t>(state.range(0));
   const Sample sample = ParetoSample(s, 72);
@@ -100,6 +103,48 @@ void BM_ServeQueryBox(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_ServeQueryBox)->Arg(1 << 10)->Arg(1 << 14);
+
+/// 16 queries of 25 selective rectangles each — the battery shape of the
+/// paper's multi-range experiments (Fig. 2c).
+std::vector<MultiRangeQuery> RectangleQueries(std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<MultiRangeQuery> queries(16);
+  for (auto& q : queries) {
+    for (int b = 0; b < 25; ++b) q.boxes.push_back(RandomBox(&rng));
+  }
+  return queries;
+}
+
+/// The linear reference for a 25-rectangle query: Sample::EstimateQuery
+/// tests every entry against up to 25 rectangles.
+void BM_LinearQuery(benchmark::State& state) {
+  const std::size_t s = static_cast<std::size_t>(state.range(0));
+  const Sample sample = ParetoSample(s, 78);
+  const auto queries = RectangleQueries(79);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        sample.EstimateQuery(queries[i++ % queries.size()]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_LinearQuery)->Arg(1 << 10)->Arg(1 << 14);
+
+/// A finalized SampleSummary answering the same queries from its box index
+/// (built once at construction, outside the timed loop); returns the same
+/// bits as BM_LinearQuery query for query.
+void BM_SummaryQuery(benchmark::State& state) {
+  const std::size_t s = static_cast<std::size_t>(state.range(0));
+  const SampleSummary summary("obliv", ParetoSample(s, 78));
+  const auto queries = RectangleQueries(79);
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        summary.EstimateQuery(queries[i++ % queries.size()]));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_SummaryQuery)->Arg(1 << 10)->Arg(1 << 14);
 
 /// The O(log s) prefix-difference subset estimate (re-associated ulp-level
 /// variant) — the flat-cost path for id-range drilldowns.

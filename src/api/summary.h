@@ -12,6 +12,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/box_index.h"
 #include "core/sample.h"
 #include "core/types.h"
 
@@ -61,17 +62,15 @@ class RangeSummary {
 /// A summary backed by a (structure-aware or oblivious) VarOpt sample,
 /// optionally carrying the initial IPPS probabilities of the build items
 /// (indexed like the items fed to the summarizer; used by discrepancy
-/// evaluation and the Figure 1 example).
+/// evaluation and the Figure 1 example). Box queries run on a BoxIndex
+/// built once here, at construction, so the first query pays no build.
 class SampleSummary : public RangeSummary {
  public:
-  SampleSummary(std::string name, Sample sample)
-      : name_(std::move(name)), sample_(std::move(sample)) {}
-  SampleSummary(std::string name, Sample sample, std::vector<double> probs)
-      : name_(std::move(name)),
-        sample_(std::move(sample)),
-        probs_(std::move(probs)) {}
+  SampleSummary(std::string name, Sample sample);
+  SampleSummary(std::string name, Sample sample, std::vector<double> probs);
 
-  /// Out of line (api/summary.cc): the query latency feeds the
+  /// Out of line (api/summary.cc): answered by the box index, bit-identical
+  /// to sample().EstimateQuery(q); the query latency feeds the
   /// `sas.query.estimate_ns` telemetry histogram when armed.
   Weight EstimateQuery(const MultiRangeQuery& q) const override;
   std::size_t SizeInElements() const override { return sample_.size(); }
@@ -82,8 +81,11 @@ class SampleSummary : public RangeSummary {
   const Sample& sample() const { return sample_; }
   /// Moves the sample out (for owners consuming the summary, e.g. the
   /// sharded wrapper handing shard samples to the merge). The summary is
-  /// left with an empty sample.
-  Sample TakeSample() { return std::move(sample_); }
+  /// left with an empty sample and releases its index.
+  Sample TakeSample() {
+    index_ = BoxIndex();
+    return std::move(sample_);
+  }
   double tau() const { return sample_.tau(); }
   /// Initial IPPS probabilities, or empty when the construction does not
   /// retain them (the streaming builders).
@@ -93,6 +95,7 @@ class SampleSummary : public RangeSummary {
   std::string name_;
   Sample sample_;
   std::vector<double> probs_;
+  BoxIndex index_;  // over sample_; declared after it (init order)
 };
 
 }  // namespace sas

@@ -6,13 +6,14 @@
 // The core owns the whole hot path of a weighted kd construction:
 //
 //  * the sort-once scheme with radix-ordered payload arrays — each axis is
-//    LSD-radix-sorted a single time up front over the coordinate bytes
-//    that vary (ties in index order, exactly the (coordinate, index)
-//    comparison order), and every axis carries its items' coordinates and
-//    masses beside the order, so mass sums, prefix scans and the median
-//    scan read sequentially. Every split maintains all d (order, coord,
-//    mass) triples through branch-free stable partitions keyed by a
-//    per-item side byte instead of re-sorting subranges per node;
+//    LSD-radix-sorted (core/radix_sort.h) a single time up front over the
+//    coordinate bytes that vary (ties in index order, exactly the
+//    (coordinate, index) comparison order), and every axis carries its
+//    items' coordinates and masses beside the order, so mass sums, prefix
+//    scans and the median scan read sequentially. Every split maintains
+//    all d (order, coord, mass) triples through branch-free stable
+//    partitions keyed by a per-item side byte instead of re-sorting
+//    subranges per node;
 //  * round-robin axis choice with fallback to the next axis when all
 //    coordinates coincide on the preferred one, splitting at the weighted
 //    median (the coordinate boundary minimizing |left mass - right mass|);

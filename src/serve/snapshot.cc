@@ -8,32 +8,30 @@ namespace sas {
 
 namespace {
 
-/// Ranks [0, n) sorted by (key_of(position), position). The secondary
-/// position key makes the order total and deterministic under duplicate
-/// sort keys (merged windows can legitimately carry one id twice).
-template <typename KeyFn>
-std::vector<std::uint32_t> SortedPositions(std::size_t n, KeyFn key_of) {
-  std::vector<std::uint32_t> pos(n);
+/// Entry positions sorted by (id, position). The secondary position key
+/// makes the order total and deterministic under duplicate ids (merged
+/// windows can legitimately carry one id twice).
+std::vector<std::uint32_t> PositionsById(
+    const std::vector<WeightedKey>& entries) {
+  std::vector<std::uint32_t> pos(entries.size());
   std::iota(pos.begin(), pos.end(), 0u);
-  std::sort(pos.begin(), pos.end(),
-            [&](std::uint32_t a, std::uint32_t b) {
-              const auto ka = key_of(a);
-              const auto kb = key_of(b);
-              if (ka != kb) return ka < kb;
-              return a < b;
-            });
+  std::sort(pos.begin(), pos.end(), [&](std::uint32_t a, std::uint32_t b) {
+    if (entries[a].id != entries[b].id) return entries[a].id < entries[b].id;
+    return a < b;
+  });
   return pos;
 }
 
 }  // namespace
 
-ServingSnapshot::ServingSnapshot(const Sample& sample) : sample_(sample) {
+ServingSnapshot::ServingSnapshot(const Sample& sample)
+    : sample_(sample), box_index_(sample_) {
   const auto& entries = sample_.entries();
   const std::size_t n = entries.size();
 
   total_weight_ = sample_.EstimateTotal();
 
-  by_id_ = SortedPositions(n, [&](std::uint32_t p) { return entries[p].id; });
+  by_id_ = PositionsById(entries);
   id_keys_.resize(n);
   prefix_id_.resize(n + 1);
   prefix_id_[0] = 0.0;
@@ -41,10 +39,6 @@ ServingSnapshot::ServingSnapshot(const Sample& sample) : sample_(sample) {
     id_keys_[r] = entries[by_id_[r]].id;
     prefix_id_[r + 1] = prefix_id_[r] + AdjustedAt(by_id_[r]);
   }
-
-  by_x_ = SortedPositions(n, [&](std::uint32_t p) { return entries[p].pt.x; });
-  x_keys_.resize(n);
-  for (std::size_t r = 0; r < n; ++r) x_keys_[r] = entries[by_x_[r]].pt.x;
 
   // Vose alias table over the adjusted weights. Scaled so column c carries
   // adjusted(c) * n / total; columns below 1 are topped up by columns above
@@ -84,68 +78,28 @@ ServingSnapshot::ServingSnapshot(const Sample& sample) : sample_(sample) {
   }
 }
 
-Weight ServingSnapshot::SumInEntryOrder(
-    std::vector<std::uint32_t>* positions) const {
-  std::sort(positions->begin(), positions->end());
-  Weight total = 0.0;
-  for (const std::uint32_t p : *positions) total += AdjustedAt(p);
-  return total;
-}
-
 Weight ServingSnapshot::EstimateIdRange(KeyId lo, KeyId hi,
                                         QueryScratch* scratch) const {
-  if (hi <= lo) return 0.0;
-  const auto b = std::lower_bound(id_keys_.begin(), id_keys_.end(), lo);
-  const auto e = std::lower_bound(b, id_keys_.end(), hi);
-  auto& pos = scratch->positions;
-  pos.clear();
-  pos.insert(pos.end(), by_id_.begin() + (b - id_keys_.begin()),
-             by_id_.begin() + (e - id_keys_.begin()));
-  return SumInEntryOrder(&pos);
-}
-
-void ServingSnapshot::CollectBox(const Box& box,
-                                 std::vector<std::uint32_t>* out) const {
-  if (box.Empty()) return;
-  const auto b = std::lower_bound(x_keys_.begin(), x_keys_.end(), box.x.lo);
-  const auto e = std::lower_bound(b, x_keys_.end(), box.x.hi);
-  const auto& entries = sample_.entries();
-  for (auto it = b; it != e; ++it) {
-    const std::uint32_t p = by_x_[static_cast<std::size_t>(it - x_keys_.begin())];
-    if (box.y.Contains(entries[p].pt.y)) out->push_back(p);
+  PositionBitmap& bitmap = scratch->bitmap;
+  bitmap.Reserve(size());
+  if (lo < hi) {
+    const auto b = std::lower_bound(id_keys_.begin(), id_keys_.end(), lo);
+    const auto e = std::lower_bound(b, id_keys_.end(), hi);
+    const auto first = static_cast<std::size_t>(b - id_keys_.begin());
+    const auto last = static_cast<std::size_t>(e - id_keys_.begin());
+    for (std::size_t r = first; r < last; ++r) bitmap.MarkIf(by_id_[r], true);
   }
+  return bitmap.SumAndClear(sample_);
 }
 
 Weight ServingSnapshot::EstimateBox(const Box& box,
                                     QueryScratch* scratch) const {
-  auto& pos = scratch->positions;
-  pos.clear();
-  CollectBox(box, &pos);
-  return SumInEntryOrder(&pos);
+  return box_index_.Estimate(sample_, {&box, 1}, &scratch->bitmap);
 }
 
 Weight ServingSnapshot::EstimateQuery(const MultiRangeQuery& q,
                                       QueryScratch* scratch) const {
-  auto& pos = scratch->positions;
-  pos.clear();
-  // Rectangles are disjoint (the MultiRangeQuery contract), so the per-box
-  // position sets are too — the union needs no dedup and the final
-  // entry-order sort reproduces the linear scan's addition order exactly.
-  for (const Box& box : q.boxes) CollectBox(box, &pos);
-  return SumInEntryOrder(&pos);
-}
-
-std::size_t ServingSnapshot::CountInBox(const Box& box) const {
-  if (box.Empty()) return 0;
-  const auto b = std::lower_bound(x_keys_.begin(), x_keys_.end(), box.x.lo);
-  const auto e = std::lower_bound(b, x_keys_.end(), box.x.hi);
-  const auto& entries = sample_.entries();
-  std::size_t count = 0;
-  for (auto it = b; it != e; ++it) {
-    const std::uint32_t p = by_x_[static_cast<std::size_t>(it - x_keys_.begin())];
-    if (box.y.Contains(entries[p].pt.y)) ++count;
-  }
-  return count;
+  return box_index_.Estimate(sample_, q.boxes, &scratch->bitmap);
 }
 
 Weight ServingSnapshot::EstimateIdRangeFast(KeyId lo, KeyId hi) const {
@@ -154,19 +108,6 @@ Weight ServingSnapshot::EstimateIdRangeFast(KeyId lo, KeyId hi) const {
   const auto e = std::lower_bound(b, id_keys_.end(), hi);
   return prefix_id_[static_cast<std::size_t>(e - id_keys_.begin())] -
          prefix_id_[static_cast<std::size_t>(b - id_keys_.begin())];
-}
-
-Weight ServingSnapshot::EstimateBoxFast(const Box& box) const {
-  if (box.Empty()) return 0.0;
-  const auto b = std::lower_bound(x_keys_.begin(), x_keys_.end(), box.x.lo);
-  const auto e = std::lower_bound(b, x_keys_.end(), box.x.hi);
-  const auto& entries = sample_.entries();
-  Weight total = 0.0;
-  for (auto it = b; it != e; ++it) {
-    const std::uint32_t p = by_x_[static_cast<std::size_t>(it - x_keys_.begin())];
-    if (box.y.Contains(entries[p].pt.y)) total += AdjustedAt(p);
-  }
-  return total;
 }
 
 std::size_t ServingSnapshot::DrawIndex(Rng* rng) const {

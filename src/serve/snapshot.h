@@ -5,10 +5,11 @@
 //
 // Acceleration structures, all built in the constructor:
 //
-//   * A position index sorted by key id and one sorted by x coordinate,
-//     each with a prefix array of Horvitz-Thompson adjusted weights — so
-//     subset estimates over an id range and box estimates localize their
-//     candidates with binary search instead of scanning all s entries.
+//   * The library's box-query index (core/box_index.h) for box and
+//     multi-rectangle estimates.
+//   * A position index sorted by key id, with a prefix array of
+//     Horvitz-Thompson adjusted weights, so id-range estimates localize
+//     their matches with binary search instead of scanning all s entries.
 //   * A Vose alias table over the adjusted weights — one O(1) lookup per
 //     sample-proportional entry draw (cf. the alias-table samplers in
 //     SNIPPETS.md), for serving-side drawdowns such as "give me k
@@ -18,15 +19,14 @@
 // EstimateBox / EstimateQuery) return bit-identical doubles to the linear
 // Sample scans (Sample::EstimateSubset / EstimateBox / EstimateQuery).
 // Floating-point addition is not associative, so this is only possible by
-// preserving the linear scan's addition order: the accelerated path binary-
-// searches the sorted index to find the matching positions (O(log s + k)
-// for k matches), then sorts those positions back into original entry
-// order in caller-provided scratch and sums sequentially from zero —
-// O(log s + k log k), output-sensitive instead of O(s), and exactly the
-// same additions in exactly the same order. The *Fast variants skip the
-// re-ordering and difference prefix sums instead — true O(log s), but
-// re-associated: equal to the linear scan only up to ulp-level error (the
-// same contract as the SIMD reductions, docs/simd.md).
+// preserving the linear scan's addition order: each path marks its matching
+// positions in the reader's position bitmap and sums the marked entries in
+// ascending position order — exactly the same additions in exactly the
+// same order, and an entry matched twice (overlapping rectangles) is summed
+// once. EstimateIdRangeFast differences the id prefix sums instead — true
+// O(log s), but re-associated: equal to the linear scan only up to
+// ulp-level error (the same contract as the SIMD reductions,
+// docs/architecture.md).
 //
 // Thread-safety: every method is const and the object is deeply immutable
 // after construction; any number of threads may query one snapshot
@@ -40,17 +40,19 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/box_index.h"
 #include "core/random.h"
 #include "core/sample.h"
 #include "core/types.h"
 
 namespace sas {
 
-/// Per-reader reusable scratch for the bit-identical estimate paths (the
-/// position re-ordering buffer). One per reader thread; queries allocate
-/// nothing once the buffer has warmed up to the working-set size.
+/// Per-reader reusable scratch for the bit-identical estimate paths: the
+/// position bitmap (one bit per snapshot entry). One per reader thread;
+/// queries allocate nothing once the bitmap has grown to the largest
+/// snapshot the reader has queried.
 struct QueryScratch {
-  std::vector<std::uint32_t> positions;
+  PositionBitmap bitmap;
 };
 
 class ServingSnapshot {
@@ -73,33 +75,29 @@ class ServingSnapshot {
   // --- Bit-identical accelerated estimates -------------------------------
 
   /// HT estimate of the keys with id in [lo, hi). Bit-identical to
-  /// sample().EstimateSubset(id in [lo, hi)); O(log s + k log k).
+  /// sample().EstimateSubset(id in [lo, hi)); O(log s + k + s/64) for k
+  /// matches.
   Weight EstimateIdRange(KeyId lo, KeyId hi, QueryScratch* scratch) const;
 
   /// HT estimate inside an axis-parallel box. Bit-identical to
-  /// sample().EstimateBox(box); candidates are localized by the x-sorted
-  /// index, so the cost is O(log s + kx log kx) for kx entries matching the
-  /// x interval.
+  /// sample().EstimateBox(box); O(log s + kx + s/64) for kx entries
+  /// matching the x interval.
   Weight EstimateBox(const Box& box, QueryScratch* scratch) const;
 
-  /// HT estimate of a disjoint multi-rectangle query. Bit-identical to
-  /// sample().EstimateQuery(q).
+  /// HT estimate of a multi-rectangle query. Bit-identical to
+  /// sample().EstimateQuery(q), overlapping rectangles included.
   Weight EstimateQuery(const MultiRangeQuery& q, QueryScratch* scratch) const;
 
-  /// Sampled keys inside the box (exact count, accelerated like
-  /// EstimateBox; no scratch needed — counting is order-free).
-  std::size_t CountInBox(const Box& box) const;
-
-  // --- O(log s) prefix-difference estimates (re-associated) --------------
+  /// Sampled keys inside the box (exact count from the box index; no
+  /// scratch needed — counting is order-free).
+  std::size_t CountInBox(const Box& box) const {
+    return box_index_.CountInBox(box);
+  }
 
   /// Prefix-sum difference over the id-sorted index: O(log s) flat, but the
   /// additions are re-associated — agrees with EstimateIdRange only to
   /// ulp-level accuracy.
   Weight EstimateIdRangeFast(KeyId lo, KeyId hi) const;
-
-  /// x-localized box estimate summed in x-sorted order (no position
-  /// re-sort): O(log s + kx), re-associated like EstimateIdRangeFast.
-  Weight EstimateBoxFast(const Box& box) const;
 
   // --- Alias-table drawdowns ---------------------------------------------
 
@@ -119,26 +117,17 @@ class ServingSnapshot {
     return sample_.AdjustedWeight(sample_.entries()[p]);
   }
 
-  /// Collects the positions matching the x interval of `box` and passing
-  /// the y filter into *out (x-sorted order, unsorted by position).
-  void CollectBox(const Box& box, std::vector<std::uint32_t>* out) const;
-
-  /// Sums adjusted weights over *positions after sorting it ascending —
-  /// the shared tail of every bit-identical path.
-  Weight SumInEntryOrder(std::vector<std::uint32_t>* positions) const;
-
   Sample sample_;
   Weight total_weight_ = 0.0;
+  BoxIndex box_index_;
 
-  // Position indexes: by_id_[r] / by_x_[r] is the entry position of rank r
-  // under (id, position) / (x, position) order; id_keys_ / x_keys_ mirror
-  // the sort keys for cache-friendly binary search; prefix_id_[r] is the
-  // adjusted-weight prefix sum over by_id_[0..r) (the *Fast paths).
+  // Id index: by_id_[r] is the entry position of rank r under (id,
+  // position) order; id_keys_ mirrors the sort key for cache-friendly
+  // binary search; prefix_id_[r] is the adjusted-weight prefix sum over
+  // by_id_[0..r) (EstimateIdRangeFast).
   std::vector<std::uint32_t> by_id_;
   std::vector<KeyId> id_keys_;
   std::vector<double> prefix_id_;
-  std::vector<std::uint32_t> by_x_;
-  std::vector<Coord> x_keys_;
 
   // Vose alias table over the adjusted weights: a draw picks column c
   // uniformly, then returns c with probability accept_[c], alias_[c]

@@ -349,6 +349,30 @@ TEST(TelemetryPhaseSpans, ArmedAwareBuildRecordsEachPhaseOnce) {
   ClearTraceEvents();
 }
 
+TEST(TelemetryPhaseSpans, ArmedOblivBuildRecordsOneIndexBuild) {
+  ScopedEnabled on(true);
+  std::vector<WeightedKey> items;
+  for (KeyId i = 0; i < 200; ++i) {
+    items.push_back({i, 1.0 + static_cast<double>(i % 7), {i * 31, i * 17}});
+  }
+  SummarizerConfig cfg;
+  cfg.s = 20.0;
+  cfg.seed = 5;
+  Histogram* const index_build = GetHistogram("sas.query.index_build_ns");
+  const std::uint64_t before = index_build->count();
+  ClearTraceEvents();
+
+  auto builder = MakeSummarizer("obliv", cfg);
+  builder->AddBatch(items);
+  const auto summary = builder->Finalize();
+  // Queries reuse the index built at Finalize: no further builds.
+  static_cast<void>(summary->EstimateBox({{0, 1000}, {0, 1000}}));
+
+  EXPECT_EQ(index_build->count() - before, 1u);
+  EXPECT_EQ(TraceEventCount(ChromeTraceJson(), "query.index_build"), 1);
+  ClearTraceEvents();
+}
+
 }  // namespace
 }  // namespace telemetry
 }  // namespace sas

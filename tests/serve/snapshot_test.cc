@@ -1,8 +1,9 @@
 // ServingSnapshot differential tests: the accelerated estimate paths must
 // be BIT-IDENTICAL (EXPECT_EQ on doubles, not near) to the linear Sample
 // scans across every sample-backed registry key family — the accelerated
-// path reproduces the linear scan's addition order exactly. The *Fast
-// prefix-difference paths are re-associated and are held to ulp-level
+// path reproduces the linear scan's addition order exactly, and counts an
+// entry inside overlapping rectangles once. The EstimateIdRangeFast
+// prefix-difference path is re-associated and is held to ulp-level
 // relative tolerance instead (the SIMD reduction contract). Plus: alias
 // table draw frequencies pass a chi-square test at fixed seed, and
 // degenerate snapshots (empty, duplicate ids, zero weights) behave.
@@ -22,99 +23,21 @@
 #include "api/summary.h"
 #include "core/random.h"
 #include "structure/hierarchy.h"
-#include "../api/test_util.h"
+#include "../api/sample_cases.h"
 
 namespace sas {
 namespace {
 
-using test::RandomItems;
-
-constexpr Coord kDomain = 1 << 10;
-constexpr std::size_t kN = 120;
-
-/// One registry key family plus the input/structure it needs (the
-/// ingest_validation_test.cc case table, restricted to the sample-backed
-/// methods the serving tier snapshots).
-struct MethodCase {
-  std::string key;
-  const std::vector<WeightedKey>* items;
-  StructureSpec structure;
-};
-
-struct Inputs {
-  std::vector<WeightedKey> items;
-  std::vector<WeightedKey> hier_items;
-  Hierarchy hierarchy;
-  std::vector<int> range_of;
-
-  Inputs() : hierarchy(MakeTree()) {
-    Rng rng(11);
-    items = RandomItems(kN, kDomain, &rng);
-    for (KeyId k = 0; k < kN; ++k) {
-      hier_items.push_back({k, items[k].weight, {k, 0}});
-    }
-    for (std::size_t i = 0; i < kN; ++i) {
-      range_of.push_back(static_cast<int>(i % 7));
-    }
-  }
-
-  static Hierarchy MakeTree() {
-    Rng tree_rng(12);
-    return Hierarchy::Random(kN, 4, &tree_rng);
-  }
-};
-
-std::vector<MethodCase> SampleBackedCases(const Inputs& in) {
-  return {
-      {"order", &in.items, StructureSpec::Order()},
-      {"hierarchy", &in.hier_items,
-       StructureSpec::OverHierarchy(&in.hierarchy)},
-      {"disjoint", &in.items, StructureSpec::Disjoint(in.range_of, 7)},
-      {"product", &in.items, StructureSpec::Product()},
-      {"nd", &in.items, StructureSpec::Nd(2)},
-      {"aware", &in.items, StructureSpec::Product()},
-      {"order-2p", &in.items, StructureSpec::Order()},
-      {"hierarchy-2p", &in.hier_items,
-       StructureSpec::OverHierarchy(&in.hierarchy)},
-      {"disjoint-2p", &in.items, StructureSpec::Disjoint(in.range_of, 7)},
-      {"obliv", &in.items, StructureSpec::Product()},
-      {"sharded:2:obliv", &in.items, StructureSpec::Product()},
-      {"windowed:10:2:obliv", &in.items, StructureSpec::Product()},
-      {"serve:obliv", &in.items, StructureSpec::Product()},
-  };
-}
-
-SummarizerConfig BaseConfig(const MethodCase& c) {
-  SummarizerConfig cfg;
-  cfg.s = 32.0;
-  cfg.seed = 4242;
-  cfg.structure = c.structure;
-  return cfg;
-}
-
-/// Deterministic battery of boxes covering empty, sliver, half-plane, and
-/// full-domain shapes.
-std::vector<Box> QueryBoxes(Rng* rng) {
-  std::vector<Box> boxes = {
-      {{0, kDomain}, {0, kDomain}},          // everything
-      {{0, 0}, {0, kDomain}},                // empty x
-      {{5, 6}, {0, kDomain}},                // x sliver
-      {{0, kDomain / 2}, {0, kDomain}},      // half plane
-      {{0, kDomain}, {kDomain / 2, kDomain}},
-  };
-  for (int i = 0; i < 40; ++i) {
-    const Coord x1 = rng->NextBounded(kDomain);
-    const Coord x2 = rng->NextBounded(kDomain);
-    const Coord y1 = rng->NextBounded(kDomain);
-    const Coord y2 = rng->NextBounded(kDomain);
-    boxes.push_back({{std::min(x1, x2), std::max(x1, x2) + 1},
-                     {std::min(y1, y2), std::max(y1, y2) + 1}});
-  }
-  return boxes;
-}
+using test::BaseConfig;
+using test::kDomain;
+using test::kN;
+using test::MethodCase;
+using test::QueryBoxes;
+using test::SampleBackedCases;
+using test::SampleCaseInputs;
 
 TEST(ServingSnapshotDifferential, BoxEstimatesBitIdenticalAcrossFamilies) {
-  const Inputs in;
+  const SampleCaseInputs in;
   Rng box_rng(77);
   const auto boxes = QueryBoxes(&box_rng);
   QueryScratch scratch;
@@ -139,7 +62,7 @@ TEST(ServingSnapshotDifferential, BoxEstimatesBitIdenticalAcrossFamilies) {
 }
 
 TEST(ServingSnapshotDifferential, MultiBoxQueriesBitIdentical) {
-  const Inputs in;
+  const SampleCaseInputs in;
   Rng box_rng(78);
   const auto boxes = QueryBoxes(&box_rng);
   QueryScratch scratch;
@@ -162,7 +85,7 @@ TEST(ServingSnapshotDifferential, MultiBoxQueriesBitIdentical) {
 }
 
 TEST(ServingSnapshotDifferential, IdRangeSubsetsBitIdentical) {
-  const Inputs in;
+  const SampleCaseInputs in;
   QueryScratch scratch;
   for (const MethodCase& c : SampleBackedCases(in)) {
     SCOPED_TRACE(c.key);
@@ -187,9 +110,7 @@ TEST(ServingSnapshotDifferential, IdRangeSubsetsBitIdentical) {
 }
 
 TEST(ServingSnapshotDifferential, FastPathsMatchToUlpLevel) {
-  const Inputs in;
-  Rng box_rng(79);
-  const auto boxes = QueryBoxes(&box_rng);
+  const SampleCaseInputs in;
   for (const MethodCase& c : SampleBackedCases(in)) {
     SCOPED_TRACE(c.key);
     auto builder = MakeSummarizer(c.key, BaseConfig(c));
@@ -198,16 +119,11 @@ TEST(ServingSnapshotDifferential, FastPathsMatchToUlpLevel) {
     const Sample& sample = summary->AsSample()->sample();
     const ServingSnapshot snap(sample);
 
-    // The prefix-difference paths re-associate the additions: near-equality
-    // only, the same contract as the SIMD reductions (docs/simd.md).
+    // The prefix-difference path re-associates the additions: near-equality
+    // only, the same contract as the SIMD reductions.
     const Weight total = sample.EstimateTotal();
     EXPECT_NEAR(snap.EstimateIdRangeFast(0, kN + 1), total,
                 1e-9 * std::max(1.0, std::abs(total)));
-    for (const Box& box : boxes) {
-      const Weight linear = sample.EstimateBox(box);
-      EXPECT_NEAR(snap.EstimateBoxFast(box), linear,
-                  1e-9 * std::max(1.0, std::abs(linear)));
-    }
   }
 }
 
@@ -232,6 +148,50 @@ TEST(ServingSnapshot, DuplicateIdsFromMergedWindowsAreHandled) {
   const Box all{{0, 10}, {0, 10}};
   EXPECT_EQ(snap.EstimateBox(all, &scratch), sample.EstimateBox(all));
   EXPECT_EQ(snap.TotalWeight(), sample.EstimateTotal());
+}
+
+TEST(ServingSnapshot, OverlappingRectanglesCountAnEntryOnce) {
+  // The entry at (10, 10) lies in both rectangles; the linear scan counts
+  // it once, and so must the snapshot (the position bitmap is a union).
+  const Sample sample(1.0, {{0, 5.0, {10, 10}}, {1, 2.0, {25, 25}}});
+  const ServingSnapshot snap(sample);
+  QueryScratch scratch;
+  MultiRangeQuery q;
+  q.boxes = {{{0, 20}, {0, 20}}, {{5, 30}, {5, 30}}};
+  EXPECT_EQ(sample.EstimateQuery(q), 7.0);
+  EXPECT_EQ(snap.EstimateQuery(q, &scratch), sample.EstimateQuery(q));
+  q.boxes = {{{0, 20}, {0, 20}}, {{5, 30}, {5, 20}}};
+  EXPECT_EQ(snap.EstimateQuery(q, &scratch), 5.0);
+  // The same rectangle twice is still one rectangle's worth.
+  q.boxes = {{{0, 30}, {0, 30}}, {{0, 30}, {0, 30}}};
+  EXPECT_EQ(snap.EstimateQuery(q, &scratch), 7.0);
+}
+
+TEST(ServingSnapshot, OneScratchServesSnapshotsOfEverySize) {
+  // A reader's bitmap grows to the largest snapshot it has queried and
+  // must come back clear after every query, whatever the snapshot size.
+  QueryScratch scratch;
+  Rng rng(5);
+  for (const std::size_t s : {200u, 1u, 65u, 0u, 64u, 130u}) {
+    std::vector<WeightedKey> entries;
+    for (std::size_t i = 0; i < s; ++i) {
+      entries.push_back({static_cast<KeyId>(i), rng.NextPareto(1.3),
+                         {rng.NextBounded(64), rng.NextBounded(64)}});
+    }
+    const Sample sample(1.5, entries);
+    const ServingSnapshot snap(sample);
+    SCOPED_TRACE(s);
+    for (int i = 0; i < 20; ++i) {
+      const Box box{{rng.NextBounded(32), 32 + rng.NextBounded(33)},
+                    {rng.NextBounded(32), 32 + rng.NextBounded(33)}};
+      EXPECT_EQ(snap.EstimateBox(box, &scratch), sample.EstimateBox(box));
+      const auto lo = static_cast<KeyId>(rng.NextBounded(s + 1));
+      EXPECT_EQ(snap.EstimateIdRange(lo, lo + 40, &scratch),
+                sample.EstimateSubset([&](const WeightedKey& k) {
+                  return k.id >= lo && k.id < lo + 40;
+                }));
+    }
+  }
 }
 
 TEST(ServingSnapshot, EmptySnapshot) {
