@@ -9,7 +9,7 @@
 #include <set>
 
 #include "api/registry.h"
-#include "aware/kd_nd.h"  // BoxN / BoxNContains helpers
+#include "core/types.h"  // BoxN / BoxNContains
 #include "core/ipps.h"
 #include "core/pair_aggregate.h"
 #include "eval/table.h"

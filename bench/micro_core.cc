@@ -8,14 +8,12 @@
 #include <atomic>
 #include <cstdlib>
 #include <new>
-#include <numeric>
 #include <string_view>
 #include <vector>
 
 #include "api/registry.h"
+#include "aware/aware_summarize.h"
 #include "aware/kd_hierarchy.h"
-#include "aware/order_summarizer.h"
-#include "aware/product_summarizer.h"
 #include "aware/summarize_scratch.h"
 #include "aware/two_pass.h"
 #include "core/ipps.h"
@@ -24,6 +22,7 @@
 #include "core/simd.h"
 #include "core/telemetry.h"
 #include "sampling/stream_varopt.h"
+#include "structure/hierarchy.h"
 
 // Global allocation counter: every operator new in the process bumps it, so
 // a benchmark can assert a hot path is allocation-free in steady state by
@@ -128,20 +127,24 @@ BENCHMARK(BM_SolveTau)->Arg(1000)->Arg(100000);
 
 void BM_ChainAggregate(benchmark::State& state) {
   // Full order-structure aggregation pass over n open probabilities: the
-  // ChainAggregate hot loop as driven by OrderSummarize (Algorithm 5).
+  // ChainAggregateRange hot loop as driven by the order structure's
+  // one-group tree through TreeAggregate (Algorithm 5).
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   const std::vector<Weight> weights = ParetoWeights(n, 12);
   const double tau = SolveTau(weights, static_cast<double>(n) / 100.0);
   std::vector<double> probs0;
   IppsProbabilities(weights, tau, &probs0);
   for (auto& q : probs0) q = SnapProbability(q);
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), 0);
+  AggregationTree tree;
+  tree.Clear(n);
+  for (std::size_t i = 0; i < n; ++i) tree.Add(i);
+  tree.CloseGroup();
+  TreeAggregateScratch scratch;
   Rng rng(13);
   std::vector<double> work;
   for (auto _ : state) {
     work = probs0;
-    OrderAggregate(&work, order, &rng);
+    TreeAggregate(tree, work.data(), &rng, &scratch);
     benchmark::DoNotOptimize(work.data());
   }
   state.SetItemsProcessed(state.iterations() * n);
@@ -301,47 +304,101 @@ void BM_TwoPassBuild(benchmark::State& state) {
 }
 BENCHMARK(BM_TwoPassBuild);
 
-template <typename SummarizeInto>
-void SummarizerRebuildLoop(benchmark::State& state, SummarizeInto fn) {
-  // Steady-state rebuild through the scratch-backed Into entry points, the
-  // cycle the streaming/windowed engines drive every refresh: persistent
-  // SummarizeScratch + SummarizeOutput, one warm-up build to size the
-  // buffers, then the timed loop must allocate nothing (allocs_per_iter is
-  // the acceptance counter — 0 in steady state).
-  const std::size_t n = 10000;
-  Rng rng(31);
-  std::vector<WeightedKey> items(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    items[i] = {static_cast<KeyId>(i), rng.NextPareto(1.2),
-                {rng.NextBounded(1 << 20), rng.NextBounded(1 << 20)}};
+/// The rebuild benches' input: n keys with Pareto weights, 2-D points
+/// (flattened to 3-D coords for nd), a random hierarchy and 97 ranges.
+struct RebuildInput {
+  static constexpr std::size_t kN = 10000;
+  std::vector<WeightedKey> items;
+  std::vector<Coord> coords3;
+  std::vector<int> range_of;
+  Hierarchy hierarchy;
+
+  RebuildInput() : hierarchy(MakeTree()) {
+    Rng rng(31);
+    items.resize(kN);
+    for (std::size_t i = 0; i < kN; ++i) {
+      items[i] = {static_cast<KeyId>(i), rng.NextPareto(1.2),
+                  {rng.NextBounded(1 << 20), rng.NextBounded(1 << 20)}};
+      coords3.insert(coords3.end(), {items[i].pt.x, items[i].pt.y,
+                                     rng.NextBounded(1 << 20)});
+      range_of.push_back(static_cast<int>(i % 97));
+    }
   }
+
+  static Hierarchy MakeTree() {
+    Rng rng(33);
+    return Hierarchy::Random(kN, 4, &rng);
+  }
+};
+
+void SummarizerRebuildLoop(benchmark::State& state,
+                           const std::vector<WeightedKey>& items,
+                           const AwareStructure& structure) {
+  // Steady-state rebuild through the one scratch-backed pipeline entry
+  // point, the cycle a recycled registry builder drives every Finalize:
+  // persistent SummarizeScratch + SummarizeOutput, one warm-up build to
+  // size the buffers, then the timed loop must allocate nothing
+  // (allocs_per_iter is the acceptance counter — 0 in steady state).
   const double s = 500.0;
   Rng draws(32);
   SummarizeScratch scratch;
   SummarizeOutput out;
-  fn(items, s, &draws, &scratch, &out);  // warm-up: grows scratch once
+  auto build = [&] {
+    scratch.weights.clear();
+    for (const WeightedKey& it : items) scratch.weights.push_back(it.weight);
+    AwareSummarizeInto(scratch.weights, structure, s, &draws, &scratch, &out);
+  };
+  build();  // warm-up: grows scratch once
   const std::size_t allocs_before =
       g_alloc_count.load(std::memory_order_relaxed);
   for (auto _ : state) {
-    fn(items, s, &draws, &scratch, &out);
+    build();
     benchmark::DoNotOptimize(out.chosen.data());
   }
   const std::size_t allocs =
       g_alloc_count.load(std::memory_order_relaxed) - allocs_before;
   state.counters["allocs_per_iter"] =
       static_cast<double>(allocs) / static_cast<double>(state.iterations());
-  state.SetItemsProcessed(state.iterations() * n);
+  state.SetItemsProcessed(state.iterations() * items.size());
+}
+
+const RebuildInput& Rebuild() {
+  static const RebuildInput* const input = new RebuildInput();
+  return *input;
 }
 
 void BM_OrderRebuild(benchmark::State& state) {
-  SummarizerRebuildLoop(state, OrderSummarizeInto);
+  const RebuildInput& in = Rebuild();
+  SummarizerRebuildLoop(state, in.items, AwareStructure::Order(in.items));
 }
 BENCHMARK(BM_OrderRebuild);
 
 void BM_ProductRebuild(benchmark::State& state) {
-  SummarizerRebuildLoop(state, ProductSummarizeInto);
+  const RebuildInput& in = Rebuild();
+  SummarizerRebuildLoop(state, in.items, AwareStructure::Kd(in.items));
 }
 BENCHMARK(BM_ProductRebuild);
+
+void BM_HierarchyRebuild(benchmark::State& state) {
+  const RebuildInput& in = Rebuild();
+  SummarizerRebuildLoop(state, in.items,
+                        AwareStructure::OverHierarchy(in.hierarchy));
+}
+BENCHMARK(BM_HierarchyRebuild);
+
+void BM_DisjointRebuild(benchmark::State& state) {
+  const RebuildInput& in = Rebuild();
+  SummarizerRebuildLoop(state, in.items,
+                        AwareStructure::Disjoint(in.range_of, 97));
+}
+BENCHMARK(BM_DisjointRebuild);
+
+void BM_NdRebuild(benchmark::State& state) {
+  const RebuildInput& in = Rebuild();
+  SummarizerRebuildLoop(state, in.items,
+                        AwareStructure::Kd(in.coords3, /*dims=*/3));
+}
+BENCHMARK(BM_NdRebuild);
 
 void BM_CounterInc(benchmark::State& state) {
   // Armed-telemetry cost of one counter bump: a relaxed fetch_add on a

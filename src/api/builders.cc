@@ -18,11 +18,7 @@
 #include "api/keys.h"
 #include "api/registry.h"
 #include "api/summarizer.h"
-#include "aware/disjoint_summarizer.h"
-#include "aware/hierarchy_summarizer.h"
-#include "aware/kd_nd.h"
-#include "aware/order_summarizer.h"
-#include "aware/product_summarizer.h"
+#include "aware/aware_summarize.h"
 #include "aware/summarize_scratch.h"
 #include "aware/two_pass.h"
 #include "core/random.h"
@@ -78,90 +74,100 @@ class BufferingSummarizer : public Summarizer {
   std::vector<WeightedKey> items_;
 };
 
-/// Converts an index-based SummarizeOutput into the SampleSummary the
-/// builder returns. The probs vector is moved into the summary (the summary
-/// owns its storage); the scratch and the rest of `out` keep their capacity
-/// for the next Reset cycle.
-std::unique_ptr<SampleSummary> TakeSampleSummary(
-    const char* key, const std::vector<WeightedKey>& items,
-    SummarizeOutput* out) {
-  std::vector<WeightedKey> entries;
-  entries.reserve(out->chosen.size());
-  for (std::uint32_t i : out->chosen) entries.push_back(items[i]);
-  return std::make_unique<SampleSummary>(
-      key, Sample(out->tau, std::move(entries)), std::move(out->probs));
-}
-
 // ---------------------------------------------------------------------------
-// In-memory structure-aware samplers (Sections 3 and 4).
+// Structure-aware samplers over a buffered input: the in-memory ones
+// (Sections 3 and 4) run the one pipeline, AwareSummarizeInto, and the
+// order / hierarchy / disjoint two-pass constructions (Section 5) run both
+// passes over the buffer at Finalize. The structure kind picks the emitter
+// or partition and the config check.
 
-class OrderBuilder : public BufferingSummarizer {
+class AwareBuilder : public BufferingSummarizer {
  public:
-  using BufferingSummarizer::BufferingSummarizer;
-  bool Mergeable() const override { return true; }
-  std::unique_ptr<RangeSummary> Finalize() override {
-    Rng rng(cfg_.seed);
-    OrderSummarizeInto(items_, cfg_.s, &rng, &scratch_, &out_);
-    return TakeSampleSummary(keys::kOrder, items_, &out_);
+  AwareBuilder(const char* key, AwareStructure::Kind kind, bool two_pass,
+               SummarizerConfig cfg)
+      : BufferingSummarizer(std::move(cfg)),
+        key_(key),
+        kind_(kind),
+        two_pass_(two_pass) {}
+
+  bool Mergeable() const override {
+    return kind_ == AwareStructure::Kind::kOrder ||
+           kind_ == AwareStructure::Kind::kKd;
   }
 
- private:
-  SummarizeScratch scratch_;
-  SummarizeOutput out_;
-};
-
-class HierarchyBuilder : public BufferingSummarizer {
- public:
-  using BufferingSummarizer::BufferingSummarizer;
   std::unique_ptr<RangeSummary> Finalize() override {
-    const Hierarchy* h = cfg_.structure.hierarchy;
-    if (h->num_keys() != items_.size()) {
-      InvalidConfig(keys::kHierarchy,
-                    "hierarchy has " + std::to_string(h->num_keys()) +
-                        " keys but " + std::to_string(items_.size()) +
-                        " items were added");
+    const AwareStructure structure = Structure();
+    Rng rng(cfg_.seed);
+    if (two_pass_) {
+      return std::make_unique<SampleSummary>(key_, TwoPassSample(&rng));
     }
-    Rng rng(cfg_.seed);
-    HierarchySummarizeInto(items_, *h, cfg_.s, &rng, &scratch_, &out_);
-    return TakeSampleSummary(keys::kHierarchy, items_, &out_);
+    auto& weights = scratch_.weights;
+    weights.clear();
+    weights.reserve(items_.size());
+    for (const WeightedKey& it : items_) weights.push_back(it.weight);
+    AwareSummarizeInto(weights, structure, cfg_.s, &rng, &scratch_, &out_);
+    // The probs move into the summary (it owns its storage); the scratch
+    // and the rest of out_ keep their capacity for the next Reset cycle.
+    std::vector<WeightedKey> entries;
+    entries.reserve(out_.chosen.size());
+    for (std::uint32_t i : out_.chosen) entries.push_back(items_[i]);
+    return std::make_unique<SampleSummary>(
+        key_, Sample(out_.tau, std::move(entries)), std::move(out_.probs));
   }
 
  private:
-  SummarizeScratch scratch_;
-  SummarizeOutput out_;
-};
-
-class DisjointBuilder : public BufferingSummarizer {
- public:
-  using BufferingSummarizer::BufferingSummarizer;
-  std::unique_ptr<RangeSummary> Finalize() override {
-    if (cfg_.structure.range_of.size() != items_.size()) {
-      InvalidConfig(keys::kDisjoint,
-                    "range_of must have exactly one entry per added item");
+  /// The structure over the buffered items, after checking that the
+  /// configured one has exactly one position per added item.
+  AwareStructure Structure() const {
+    const StructureSpec& spec = cfg_.structure;
+    switch (kind_) {
+      case AwareStructure::Kind::kOrder:
+        break;
+      case AwareStructure::Kind::kHierarchy:
+        if (spec.hierarchy->num_keys() != items_.size()) {
+          InvalidConfig(key_, "hierarchy has " +
+                                  std::to_string(spec.hierarchy->num_keys()) +
+                                  " keys but " +
+                                  std::to_string(items_.size()) +
+                                  " items were added");
+        }
+        return AwareStructure::OverHierarchy(*spec.hierarchy);
+      case AwareStructure::Kind::kDisjoint:
+        if (spec.range_of.size() != items_.size()) {
+          InvalidConfig(key_,
+                        "range_of must have exactly one entry per added item");
+        }
+        return AwareStructure::Disjoint(spec.range_of, spec.num_ranges);
+      case AwareStructure::Kind::kKd:
+        return AwareStructure::Kd(items_);
     }
-    Rng rng(cfg_.seed);
-    DisjointSummarizeInto(items_, cfg_.structure.range_of,
-                          cfg_.structure.num_ranges, cfg_.s, &rng, &scratch_,
-                          &out_);
-    return TakeSampleSummary(keys::kDisjoint, items_, &out_);
+    return AwareStructure::Order(items_);
   }
 
- private:
-  SummarizeScratch scratch_;
-  SummarizeOutput out_;
-};
-
-class ProductBuilder : public BufferingSummarizer {
- public:
-  using BufferingSummarizer::BufferingSummarizer;
-  bool Mergeable() const override { return true; }
-  std::unique_ptr<RangeSummary> Finalize() override {
-    Rng rng(cfg_.seed);
-    ProductSummarizeInto(items_, cfg_.s, &rng, &scratch_, &out_);
-    return TakeSampleSummary(keys::kProduct, items_, &out_);
+  Sample TwoPassSample(Rng* rng) const {
+    const TwoPassConfig tp{cfg_.sprime_factor};
+    const StructureSpec& spec = cfg_.structure;
+    switch (kind_) {
+      case AwareStructure::Kind::kHierarchy:
+        return TwoPassHierarchySample(
+            items_, *spec.hierarchy, cfg_.s, tp,
+            cfg_.hierarchy_partition == HierarchyPartition::kAncestors
+                ? HierarchyTwoPassVariant::kAncestors
+                : HierarchyTwoPassVariant::kLinearize,
+            rng);
+      case AwareStructure::Kind::kDisjoint:
+        return TwoPassDisjointSample(items_, spec.range_of, spec.num_ranges,
+                                     cfg_.s, tp, rng);
+      case AwareStructure::Kind::kOrder:
+      case AwareStructure::Kind::kKd:  // "aware" streams: TwoPassProductBuilder
+        break;
+    }
+    return TwoPassOrderSample(items_, cfg_.s, tp, rng);
   }
 
- private:
+  const char* key_;
+  AwareStructure::Kind kind_;
+  bool two_pass_;
   SummarizeScratch scratch_;
   SummarizeOutput out_;
 };
@@ -254,11 +260,11 @@ class NdBuilder : public Summarizer {
   std::unique_ptr<RangeSummary> Finalize() override {
     const int dims = cfg_.structure.dims;
     Rng rng(cfg_.seed);
-    ProductSummarizeNdInto(coords_, dims, weights_, cfg_.s, &rng, &scratch_,
-                           &out_);
+    AwareSummarizeInto(weights_, AwareStructure::Kd(coords_, dims), cfg_.s,
+                       &rng, &scratch_, &out_);
     std::vector<WeightedKey> entries;
     entries.reserve(out_.chosen.size());
-    for (std::size_t i : out_.chosen) {
+    for (std::uint32_t i : out_.chosen) {
       if (i < originals_.size()) {
         entries.push_back(originals_[i]);
       } else {
@@ -266,7 +272,7 @@ class NdBuilder : public Summarizer {
         // path) or insertion index, point from the first two axes (queries
         // beyond 2-D go through sample()).
         WeightedKey k;
-        k.id = coord_ids_.empty() ? static_cast<KeyId>(i) : coord_ids_[i];
+        k.id = coord_ids_.empty() ? i : coord_ids_[i];
         k.weight = weights_[i];
         k.pt.x = coords_[i * static_cast<std::size_t>(dims)];
         k.pt.y = dims > 1 ? coords_[i * static_cast<std::size_t>(dims) + 1]
@@ -286,7 +292,7 @@ class NdBuilder : public Summarizer {
   std::vector<WeightedKey> originals_;  // empty when fed via AddCoords
   bool used_coords_ = false;
   SummarizeScratch scratch_;
-  ResultNd out_;
+  SummarizeOutput out_;
 };
 
 // ---------------------------------------------------------------------------
@@ -341,58 +347,6 @@ class TwoPassProductBuilder : public Summarizer {
   TwoPassProductSampler sampler_;
   std::vector<WeightedKey> buffer_;
   bool spent_ = false;
-};
-
-class TwoPassOrderBuilder : public BufferingSummarizer {
- public:
-  using BufferingSummarizer::BufferingSummarizer;
-  bool Mergeable() const override { return true; }
-  std::unique_ptr<RangeSummary> Finalize() override {
-    Rng rng(cfg_.seed);
-    Sample sample = TwoPassOrderSample(
-        items_, cfg_.s, TwoPassConfig{cfg_.sprime_factor}, &rng);
-    return std::make_unique<SampleSummary>(keys::kOrderTwoPass,
-                                           std::move(sample));
-  }
-};
-
-class TwoPassHierarchyBuilder : public BufferingSummarizer {
- public:
-  using BufferingSummarizer::BufferingSummarizer;
-  std::unique_ptr<RangeSummary> Finalize() override {
-    const Hierarchy* h = cfg_.structure.hierarchy;
-    if (h->num_keys() != items_.size()) {
-      InvalidConfig(keys::kHierarchyTwoPass,
-                    "hierarchy key count does not match items added");
-    }
-    const HierarchyTwoPassVariant variant =
-        cfg_.hierarchy_partition == HierarchyPartition::kAncestors
-            ? HierarchyTwoPassVariant::kAncestors
-            : HierarchyTwoPassVariant::kLinearize;
-    Rng rng(cfg_.seed);
-    Sample sample = TwoPassHierarchySample(
-        items_, *h, cfg_.s, TwoPassConfig{cfg_.sprime_factor}, variant,
-        &rng);
-    return std::make_unique<SampleSummary>(keys::kHierarchyTwoPass,
-                                           std::move(sample));
-  }
-};
-
-class TwoPassDisjointBuilder : public BufferingSummarizer {
- public:
-  using BufferingSummarizer::BufferingSummarizer;
-  std::unique_ptr<RangeSummary> Finalize() override {
-    if (cfg_.structure.range_of.size() != items_.size()) {
-      InvalidConfig(keys::kDisjointTwoPass,
-                    "range_of must have exactly one entry per added item");
-    }
-    Rng rng(cfg_.seed);
-    Sample sample = TwoPassDisjointSample(
-        items_, cfg_.structure.range_of, cfg_.structure.num_ranges, cfg_.s,
-        TwoPassConfig{cfg_.sprime_factor}, &rng);
-    return std::make_unique<SampleSummary>(keys::kDisjointTwoPass,
-                                           std::move(sample));
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -505,9 +459,16 @@ void RequireHierarchy(const char* key, const SummarizerConfig& cfg) {
 }
 
 void RequireDisjoint(const char* key, const SummarizerConfig& cfg) {
-  if (cfg.structure.num_ranges <= 0 || cfg.structure.range_of.empty()) {
+  const StructureSpec& spec = cfg.structure;
+  if (spec.num_ranges <= 0 || spec.range_of.empty()) {
     InvalidConfig(key, "structure.range_of / num_ranges must describe the "
                        "disjoint ranges");
+  }
+  for (int r : spec.range_of) {
+    if (r < 0 || r >= spec.num_ranges) {
+      InvalidConfig(key, "structure.range_of holds range " +
+                             std::to_string(r) + " outside [0, num_ranges)");
+    }
   }
 }
 
@@ -533,6 +494,18 @@ void RequireBits(const char* key, const SummarizerConfig& cfg) {
   }
 }
 
+/// Factory of a buffered structure-aware builder; hierarchy and disjoint
+/// configs are validated at MakeSummarizer time.
+SummarizerFactory Aware(const char* key, AwareStructure::Kind kind,
+                        bool two_pass = false) {
+  return [key, kind, two_pass](const SummarizerConfig& cfg) {
+    if (kind == AwareStructure::Kind::kHierarchy) RequireHierarchy(key, cfg);
+    if (kind == AwareStructure::Kind::kDisjoint) RequireDisjoint(key, cfg);
+    return std::unique_ptr<Summarizer>(
+        new AwareBuilder(key, kind, two_pass, cfg));
+  };
+}
+
 template <typename Builder>
 SummarizerFactory Plain() {
   return [](const SummarizerConfig& cfg) -> std::unique_ptr<Summarizer> {
@@ -546,34 +519,29 @@ namespace internal {
 
 std::vector<std::pair<std::string, SummarizerFactory>> BuiltinSummarizers() {
   std::vector<std::pair<std::string, SummarizerFactory>> builtins;
-  builtins.emplace_back(keys::kOrder, Plain<OrderBuilder>());
-  builtins.emplace_back(keys::kProduct, Plain<ProductBuilder>());
+  builtins.emplace_back(keys::kOrder,
+                        Aware(keys::kOrder, AwareStructure::Kind::kOrder));
+  builtins.emplace_back(keys::kProduct,
+                        Aware(keys::kProduct, AwareStructure::Kind::kKd));
   builtins.emplace_back(
-      keys::kHierarchy, [](const SummarizerConfig& cfg) {
-        RequireHierarchy(keys::kHierarchy, cfg);
-        return std::unique_ptr<Summarizer>(new HierarchyBuilder(cfg));
-      });
+      keys::kHierarchy,
+      Aware(keys::kHierarchy, AwareStructure::Kind::kHierarchy));
   builtins.emplace_back(
-      keys::kDisjoint, [](const SummarizerConfig& cfg) {
-        RequireDisjoint(keys::kDisjoint, cfg);
-        return std::unique_ptr<Summarizer>(new DisjointBuilder(cfg));
-      });
+      keys::kDisjoint, Aware(keys::kDisjoint, AwareStructure::Kind::kDisjoint));
   builtins.emplace_back(keys::kNd, [](const SummarizerConfig& cfg) {
     RequireDims(keys::kNd, cfg);
     return std::unique_ptr<Summarizer>(new NdBuilder(cfg));
   });
   builtins.emplace_back(keys::kAware, Plain<TwoPassProductBuilder>());
-  builtins.emplace_back(keys::kOrderTwoPass, Plain<TwoPassOrderBuilder>());
   builtins.emplace_back(
-      keys::kHierarchyTwoPass, [](const SummarizerConfig& cfg) {
-        RequireHierarchy(keys::kHierarchyTwoPass, cfg);
-        return std::unique_ptr<Summarizer>(new TwoPassHierarchyBuilder(cfg));
-      });
+      keys::kOrderTwoPass,
+      Aware(keys::kOrderTwoPass, AwareStructure::Kind::kOrder, true));
   builtins.emplace_back(
-      keys::kDisjointTwoPass, [](const SummarizerConfig& cfg) {
-        RequireDisjoint(keys::kDisjointTwoPass, cfg);
-        return std::unique_ptr<Summarizer>(new TwoPassDisjointBuilder(cfg));
-      });
+      keys::kHierarchyTwoPass,
+      Aware(keys::kHierarchyTwoPass, AwareStructure::Kind::kHierarchy, true));
+  builtins.emplace_back(
+      keys::kDisjointTwoPass,
+      Aware(keys::kDisjointTwoPass, AwareStructure::Kind::kDisjoint, true));
   builtins.emplace_back(keys::kObliv, [](const SummarizerConfig& cfg) {
     RequireWholeBudget(keys::kObliv, cfg);
     return std::unique_ptr<Summarizer>(new OblivBuilder(cfg));

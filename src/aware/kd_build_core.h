@@ -1,7 +1,8 @@
-// Dims-parameterized kd build core shared by the 2-D KdHierarchy, the
-// general-d KdHierarchyNd (both thin wrappers over KdBuildCore) and the
-// two-pass product partition (aware/two_pass.h, which flattens the core's
-// SoA nodes into its locate table).
+// Dims-parameterized kd build core shared by KdHierarchy (a thin wrapper
+// over KdBuildCore for any d), the structure-aware product build
+// (aware/aware_summarize.h, which emits the core's SoA nodes straight into
+// its aggregation tree) and the two-pass product partition
+// (aware/two_pass.h, which flattens them into its locate table).
 //
 // The core owns the whole hot path of a weighted kd construction:
 //
@@ -27,8 +28,8 @@
 //
 // Points are flat: point i occupies coords[i*dims .. i*dims+dims). The 2-D
 // wrapper routes its Point2D storage through a flat-coords facade (a
-// static_assert-checked reinterpretation of the point array), so both
-// public entry points run byte-for-byte the same build loop. A build
+// static_assert-checked reinterpretation of the point array), so 2-D and
+// flat callers run byte-for-byte the same build loop. A build
 // records the `build.kd` telemetry span.
 
 #ifndef SAS_AWARE_KD_BUILD_CORE_H_
@@ -43,8 +44,8 @@
 
 namespace sas {
 
-/// Null child/parent sentinel of the core's SoA nodes; both public kd
-/// classes pin their own kNull to this value.
+/// Null child/parent sentinel of the core's SoA nodes; KdHierarchy pins
+/// its kNull to this value.
 inline constexpr std::int32_t kKdNull = -1;
 
 /// One finished core build. The SoA arrays live in the scratch arena and

@@ -39,16 +39,30 @@ void KdHierarchy::BuildInto(const std::vector<Point2D>& pts,
                             const std::vector<double>& mass,
                             KdBuildScratch* scratch, KdHierarchy* out) {
   assert(pts.size() == mass.size());
-  const std::size_t n = pts.size();
+  BuildFlat(AsFlatCoords(pts.data()), /*dims=*/2, mass.data(), pts.size(),
+            scratch, out);
+}
+
+void KdHierarchy::BuildInto(const std::vector<Coord>& coords, int dims,
+                            const std::vector<double>& mass,
+                            KdBuildScratch* scratch, KdHierarchy* out) {
+  assert(dims >= 1);
+  assert(coords.size() == mass.size() * static_cast<std::size_t>(dims));
+  BuildFlat(coords.data(), dims, mass.data(), mass.size(), scratch, out);
+}
+
+void KdHierarchy::BuildFlat(const Coord* coords, int dims, const double* mass,
+                            std::size_t n, KdBuildScratch* scratch,
+                            KdHierarchy* out) {
+  out->dims_ = dims;
   if (n == 0) {
     out->nodes_.clear();
     out->item_order_.clear();
     return;
   }
 
-  const Coord* flat = AsFlatCoords(pts.data());
-  const KdCoreBuild core = KdBuildCore(flat, /*dims=*/2, mass.data(), n,
-                                       scratch, &out->item_order_);
+  const KdCoreBuild core =
+      KdBuildCore(coords, dims, mass, n, scratch, &out->item_order_);
 
   out->nodes_.resize(static_cast<std::size_t>(core.num_nodes));
   for (std::int32_t v = 0; v < core.num_nodes; ++v) {
@@ -65,6 +79,7 @@ void KdHierarchy::BuildInto(const std::vector<Point2D>& pts,
 }
 
 int KdHierarchy::LocateLeaf(const Point2D& pt) const {
+  assert(dims_ == 2);
   if (nodes_.empty()) return kNull;
   int v = 0;
   while (!nodes_[v].IsLeaf()) {

@@ -1,12 +1,14 @@
-// KD-HIERARCHY (Algorithm 2): a kd-tree over weighted 2-D keys used both as
-// the aggregation hierarchy of the product-structure summarizer (Section 4)
-// and as the space partition of the two-pass algorithm (Section 5).
+// KD-HIERARCHY (Algorithm 2): a kd-tree over weighted d-dimensional keys,
+// the hierarchy of the product-structure summarizer (Section 4, any d) and
+// the space partition of the two-pass algorithm (Section 5).
 //
 // Axes are split round-robin; the split point on the current axis is the
 // weighted median (the position minimizing |left mass - right mass|). For
 // hierarchy axes the datasets lay leaf coordinates out in DFS order, so the
 // coordinate median is a split over the hierarchy's canonical linearization
-// (see DESIGN.md, substitution 3).
+// (see DESIGN.md, substitution 3). The paper's general-d construction has
+// box discrepancy O(min{p(R), 2d s^((d-1)/d)}) concentrated around
+// s^((d-1)/(2d)).
 
 #ifndef SAS_AWARE_KD_HIERARCHY_H_
 #define SAS_AWARE_KD_HIERARCHY_H_
@@ -27,7 +29,7 @@ class KdHierarchy {
     int parent = kNull;
     int left = kNull;
     int right = kNull;
-    int axis = 0;       // 0 = x, 1 = y (split axis; leaves: unused)
+    int axis = 0;       // split axis in [0, dims) (2-D: 0 = x, 1 = y)
     Coord split = 0;    // points with axis-coord < split go left
     double mass = 0.0;  // total mass under this node
     // Leaves hold a contiguous run [begin, end) of item_order() (a single
@@ -38,9 +40,9 @@ class KdHierarchy {
     bool IsLeaf() const { return left == kNull; }
   };
 
-  /// Builds the tree over points with per-point mass (IPPS probabilities or
-  /// uniform 1s). Points should be distinct; exact duplicates are kept
-  /// together in one leaf.
+  /// Builds the tree over 2-D points with per-point mass (IPPS
+  /// probabilities or uniform 1s). Points should be distinct; exact
+  /// duplicates are kept together in one leaf.
   ///
   /// The build is a thin wrapper over the shared dims-parameterized
   /// KdBuildCore (aware/kd_build_core.h) with dims = 2, the Point2D array
@@ -62,21 +64,29 @@ class KdHierarchy {
   /// Rebuilds *out in place, reusing its node and item-order storage in
   /// addition to the scratch arena: a warm (scratch, out) pair makes the
   /// whole build allocation-free. Produces exactly the tree Build returns.
+  /// The flat overload builds over n = coords.size() / dims points (point
+  /// i occupies coords[i*dims .. i*dims+dims)) with the same core, any
+  /// d >= 1.
   static void BuildInto(const std::vector<Point2D>& pts,
+                        const std::vector<double>& mass,
+                        KdBuildScratch* scratch, KdHierarchy* out);
+  static void BuildInto(const std::vector<Coord>& coords, int dims,
                         const std::vector<double>& mass,
                         KdBuildScratch* scratch, KdHierarchy* out);
 
   const std::vector<Node>& nodes() const { return nodes_; }
   int root() const { return nodes_.empty() ? kNull : 0; }
   int num_nodes() const { return static_cast<int>(nodes_.size()); }
+  int dims() const { return dims_; }
 
   /// Item indices (into the build vectors) in kd DFS-leaf order.
   const std::vector<std::size_t>& item_order() const { return item_order_; }
 
-  /// Descends by split coordinates to the leaf region containing pt. Works
-  /// for arbitrary points, not only build points. Returns kNull on an empty
-  /// tree. (The two-pass sampler does not use this per-node descent: it
-  /// locates through its own compact table; see aware/two_pass.h.)
+  /// Descends by split coordinates to the leaf region containing pt (2-D
+  /// trees only). Works for arbitrary points, not only build points.
+  /// Returns kNull on an empty tree. (The two-pass sampler does not use
+  /// this per-node descent: it locates through its own compact table; see
+  /// aware/two_pass.h.)
   int LocateLeaf(const Point2D& pt) const;
 
   /// Minimal-depth nodes with mass <= limit ("s-leaves" of Appendix E).
@@ -86,6 +96,11 @@ class KdHierarchy {
   int MaxDepth() const;
 
  private:
+  static void BuildFlat(const Coord* coords, int dims, const double* mass,
+                        std::size_t n, KdBuildScratch* scratch,
+                        KdHierarchy* out);
+
+  int dims_ = 2;
   std::vector<Node> nodes_;
   std::vector<std::size_t> item_order_;
 };

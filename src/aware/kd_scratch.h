@@ -1,5 +1,6 @@
-// Shared build workspace for the kd constructions (2-D KdHierarchy and the
-// general-d KdHierarchyNd).
+// Shared build workspace of the kd construction (KdBuildCore, behind
+// KdHierarchy of any dimension, the product build and the two-pass
+// partition).
 //
 // One monotonic arena backs everything a build needs — per-axis item
 // orders with their coordinate and mass payloads, the partition (and radix
@@ -26,8 +27,7 @@ struct KdBuildScratch {
 
 /// Arena-backed SoA node accumulators shared by the kd builds: field writes
 /// stream into flat arrays during construction and the public AoS node
-/// vector is emitted in one pass at the end. The N-d build has no parent
-/// field in its public nodes and simply never reads `parent`.
+/// vector (or the aggregation tree) is emitted in one pass at the end.
 struct KdNodeSoA {
   std::int32_t* parent;
   std::int32_t* left;
@@ -50,7 +50,7 @@ struct KdNodeSoA {
   }
 
   /// New node with leaf defaults (children/parent null = -1, axis 0),
-  /// matching the public Node member initializers of both kd classes.
+  /// matching the public KdHierarchy::Node member initializers.
   void Emplace(std::int32_t id, std::int32_t parent_id) {
     parent[id] = parent_id;
     left[id] = -1;

@@ -6,43 +6,17 @@
 //
 // The discrepancy on an axis-parallel box R behaves like a VarOpt sample on
 // a subset of expected size mu <= min{p(R), 2d s^((d-1)/d)} (Appendix E).
+//
+// The product sampler is the kd kind of the one structure-aware pipeline,
+// AwareSummarizeInto with AwareStructure::Kd (aware/aware_summarize.h);
+// this header names its stages for phase-by-phase callers: KdHierarchy::
+// BuildInto builds step 2 over scratch storage and KdAggregate runs step 3.
 
 #ifndef SAS_AWARE_PRODUCT_SUMMARIZER_H_
 #define SAS_AWARE_PRODUCT_SUMMARIZER_H_
 
-#include <vector>
-
+#include "aware/aware_summarize.h"
 #include "aware/kd_hierarchy.h"
-#include "aware/order_summarizer.h"
-#include "core/random.h"
-#include "core/types.h"
-
-namespace sas {
-
-/// Low-level: aggregates the open entries of *probs (indexed like the build
-/// items of `tree`) bottom-up along the kd-tree. On return all entries are
-/// set. The scratch overload routes the per-node carries through `scratch`
-/// (allocation-free when warm); the plain overload keeps a thread-local
-/// one.
-void KdAggregate(std::vector<double>* probs, const KdHierarchy& tree,
-                 Rng* rng);
-void KdAggregate(std::vector<double>* probs, const KdHierarchy& tree,
-                 Rng* rng, SummarizeScratch* scratch);
-
-/// Draws a structure-aware VarOpt sample of (expected) size s over the 2-D
-/// points of `items`.
-SummarizeResult ProductSummarize(const std::vector<WeightedKey>& items,
-                                 double s, Rng* rng);
-
-/// Scratch-backed core of ProductSummarize (identical draws and sample;
-/// see aware/summarize_scratch.h for the reuse contract). out->chosen
-/// lists the certain inclusions (p == 1) in ascending index order first,
-/// then the aggregation picks in open-subset order, matching the sample
-/// order of ProductSummarize.
-void ProductSummarizeInto(const std::vector<WeightedKey>& items, double s,
-                          Rng* rng, SummarizeScratch* scratch,
-                          SummarizeOutput* out);
-
-}  // namespace sas
+#include "aware/summarize_scratch.h"
 
 #endif  // SAS_AWARE_PRODUCT_SUMMARIZER_H_

@@ -2,25 +2,33 @@
 
 #include <algorithm>
 #include <cassert>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 
+#include "aware/aware_summarize.h"
 #include "aware/kd_build_core.h"
 #include "core/ipps.h"
 #include "core/pair_aggregate.h"
 #include "core/telemetry.h"
 #include "sampling/stream_varopt.h"
-#include "structure/order.h"
 
 namespace sas {
 
-struct TwoPassProductSampler::Pass1State {
+/// Pass 1 (all four constructions): the streaming IPPS threshold and the
+/// structure-oblivious guide sample of size s' = factor * s.
+struct TwoPassGuide {
   StreamTau tau_tracker;
   StreamVarOpt guide;
 
-  Pass1State(double s, std::size_t sprime, Rng rng)
-      : tau_tracker(s), guide(sprime, rng) {}
+  TwoPassGuide(double s, const TwoPassConfig& cfg, Rng rng)
+      : tau_tracker(s),
+        guide(static_cast<std::size_t>(std::max(1.0, cfg.sprime_factor * s)),
+              rng) {}
+
+  void Push(const WeightedKey& item) {
+    tau_tracker.Push(item.weight);
+    guide.Push(item);
+  }
 };
 
 namespace {
@@ -29,15 +37,86 @@ namespace {
 /// independent loads in flight to overlap the table's cache misses.
 constexpr std::size_t kLocateLanes = 16;
 
+/// Pass 1 over an in-memory input. Guide keys carry their input position
+/// as id, so the partitions below index the positional structure by it
+/// (StreamVarOpt never reads ids: the guide is otherwise unchanged).
+TwoPassGuide RunPass1(const std::vector<WeightedKey>& items, double s,
+                      const TwoPassConfig& cfg, Rng* rng) {
+  TwoPassGuide p1(s, cfg, rng->Split());
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    p1.Push({static_cast<KeyId>(i), items[i].weight, items[i].pt});
+  }
+  return p1;
+}
+
+/// IO-AGGREGATE (Algorithm 3) for one arriving key: a certain key joins the
+/// sample, an open one is pair-aggregated with its cell's active key;
+/// whichever becomes certain joins the sample, and the one left open (if
+/// any) stays active.
+void IoAggregate(const WeightedKey& item, double tau, TwoPassCell* cell,
+                 std::vector<WeightedKey>* sample, Rng* rng) {
+  if (item.weight <= 0.0) return;
+  double p = SnapProbability(IppsProbability(item.weight, tau));
+  if (p == 1.0) {
+    sample->push_back(item);  // certain inclusion
+    return;
+  }
+  if (p == 0.0) return;
+  if (!cell->present) {
+    *cell = {item, p, true};
+    return;
+  }
+  PairAggregate(&p, &cell->p, rng);
+  if (cell->p == 1.0) sample->push_back(cell->key);
+  if (IsSet(cell->p)) cell->present = false;
+  if (p == 1.0) sample->push_back(item);
+  if (!IsSet(p)) {
+    assert(!cell->present);
+    *cell = {item, p, true};
+  }
+}
+
+/// The final step of every construction: gathers the cells' active keys in
+/// cell order, aggregates them along the partition's tree — emitted by
+/// emit(entry_of_cell, &tree) over the gathered keys — and appends the
+/// picks to the sample. Leaves every cell empty.
+template <typename Emit>
+void FinalAggregate(std::vector<TwoPassCell>* cells, Emit emit, Rng* rng,
+                    std::vector<WeightedKey>* sample) {
+  std::vector<WeightedKey> keys;
+  std::vector<double> probs;
+  std::vector<std::size_t> entry_of_cell(cells->size(), kNoEntry);
+  for (std::size_t c = 0; c < cells->size(); ++c) {
+    TwoPassCell& cell = (*cells)[c];
+    if (!cell.present) continue;
+    entry_of_cell[c] = keys.size();
+    keys.push_back(cell.key);
+    probs.push_back(cell.p);
+    cell.present = false;
+  }
+  AggregationTree tree;
+  tree.Clear(keys.size());
+  emit(entry_of_cell, &tree);
+  TreeAggregateScratch scratch;
+  TreeAggregate(tree, probs.data(), rng, &scratch);
+  for (std::size_t e = 0; e < keys.size(); ++e) {
+    if (probs[e] == 1.0) sample->push_back(keys[e]);
+  }
+}
+
+/// Order and disjoint cells: one chain over the active keys in cell order.
+void EmitCellChain(const std::vector<std::size_t>& /*entry_of_cell*/,
+                   AggregationTree* tree) {
+  for (std::size_t e = 0; e < tree->num_entries; ++e) tree->Add(e);
+  tree->CloseGroup();
+}
+
 }  // namespace
 
 TwoPassProductSampler::TwoPassProductSampler(double s, TwoPassConfig cfg,
                                              Rng rng)
-    : s_(s), cfg_(cfg), rng_(rng) {
-  const auto sprime = static_cast<std::size_t>(
-      std::max(1.0, cfg_.sprime_factor * s_));
-  pass1_ = std::make_unique<Pass1State>(s_, sprime, rng_.Split());
-}
+    : rng_(rng),
+      pass1_(std::make_unique<TwoPassGuide>(s, cfg, rng_.Split())) {}
 
 TwoPassProductSampler::~TwoPassProductSampler() = default;
 
@@ -52,8 +131,7 @@ void TwoPassProductSampler::RequirePhase(Phase want, const char* call) const {
 
 void TwoPassProductSampler::Pass1(const WeightedKey& item) {
   RequirePhase(Phase::kPass1, "Pass1");
-  pass1_->tau_tracker.Push(item.weight);
-  pass1_->guide.Push(item);
+  pass1_->Push(item);
 }
 
 void TwoPassProductSampler::BeginPass2() {
@@ -141,35 +219,10 @@ void TwoPassProductSampler::RunPass2(std::span<const WeightedKey> items) {
       }
     }
 
-    // IO-AGGREGATE (Algorithm 3) in input order: aggregate each arriving
-    // key with its cell's active key; whichever becomes certain joins the
-    // sample, and the one left open (if any) stays active.
+    // IO-AGGREGATE in input order.
     for (std::size_t k = 0; k < lanes; ++k) {
-      const WeightedKey& item = chunk[k];
-      if (item.weight <= 0.0) continue;
-      double p = SnapProbability(IppsProbability(item.weight, tau_));
-      if (p == 1.0) {
-        sample_.push_back(item);  // certain inclusion
-        continue;
-      }
-      if (p == 0.0) continue;
-      ActiveKey& a = active_[static_cast<std::size_t>(table[node[k]].next)];
-      if (!a.present) {
-        a.key = item;
-        a.p = p;
-        a.present = true;
-        continue;
-      }
-      PairAggregate(&p, &a.p, &rng_);
-      if (a.p == 1.0) sample_.push_back(a.key);
-      if (IsSet(a.p)) a.present = false;
-      if (p == 1.0) sample_.push_back(item);
-      if (!IsSet(p)) {
-        assert(!a.present);
-        a.key = item;
-        a.p = p;
-        a.present = true;
-      }
+      const auto cell = static_cast<std::size_t>(table[node[k]].next);
+      IoAggregate(chunk[k], tau_, &active_[cell], &sample_, &rng_);
     }
   }
 }
@@ -180,44 +233,29 @@ Sample TwoPassProductSampler::Finalize() {
   telemetry::Span span("twopass.final", final_ns);
   RequirePhase(Phase::kPass2, "Finalize");
   phase_ = Phase::kDone;
-  // Gather the active keys and aggregate them bottom-up along the locate
-  // table (the partition *is* the hierarchy h of Section 5; children have
-  // larger ids than their parent, so a reverse scan is bottom-up).
-  std::vector<WeightedKey> akeys;
-  std::vector<double> aprobs;
-  std::vector<std::size_t> entry_of_cell(active_.size(), kNoEntry);
-  for (std::size_t c = 0; c < active_.size(); ++c) {
-    if (active_[c].present) {
-      entry_of_cell[c] = akeys.size();
-      akeys.push_back(active_[c].key);
-      aprobs.push_back(active_[c].p);
-    }
-  }
-  RngStream draws(&rng_);
-  std::vector<std::size_t> leftover(locate_.size(), kNoEntry);
-  std::vector<std::size_t> entries;
-  for (std::size_t v = locate_.size(); v-- > 0;) {
-    const LocateNode& node = locate_[v];
-    const auto next = static_cast<std::size_t>(node.next);
-    entries.clear();
-    if (node.axis < 0) {
-      const std::size_t e = entry_of_cell[next];
-      if (e != kNoEntry && !IsSet(aprobs[e])) entries.push_back(e);
-    } else {
-      if (leftover[next] != kNoEntry) entries.push_back(leftover[next]);
-      if (leftover[next + 1] != kNoEntry) {
-        entries.push_back(leftover[next + 1]);
-      }
-    }
-    leftover[v] = ChainAggregateRange(aprobs.data(), entries.data(),
-                                      entries.size(), kNoEntry, &draws);
-  }
-  ResolveResidual(aprobs.data(), leftover[0], &draws);
-  draws.Flush();
-  for (std::size_t e = 0; e < akeys.size(); ++e) {
-    if (aprobs[e] == 1.0) sample_.push_back(akeys[e]);
-  }
-  for (auto& slot : active_) slot.present = false;
+  // The partition *is* the hierarchy h of Section 5: the locate table
+  // reversed (children have larger ids than their parent) is its
+  // bottom-up aggregation tree.
+  const std::vector<LocateNode>& table = locate_;
+  FinalAggregate(
+      &active_,
+      [&table](const std::vector<std::size_t>& entry_of_cell,
+               AggregationTree* tree) {
+        const std::size_t last = tree->num_entries + table.size() - 1;
+        tree->start.reserve(table.size() + 1);
+        tree->members.reserve(2 * table.size());
+        for (std::size_t v = table.size(); v-- > 0;) {
+          const auto next = static_cast<std::size_t>(table[v].next);
+          if (table[v].axis < 0) {
+            if (entry_of_cell[next] != kNoEntry) tree->Add(entry_of_cell[next]);
+          } else {
+            tree->Add(last - next);
+            tree->Add(last - (next + 1));
+          }
+          tree->CloseGroup();
+        }
+      },
+      &rng_, &sample_);
   return Sample(tau_, std::move(sample_));
 }
 
@@ -232,146 +270,50 @@ Sample TwoPassProductSample(const std::vector<WeightedKey>& items, double s,
 
 Sample TwoPassOrderSample(const std::vector<WeightedKey>& items, double s,
                           const TwoPassConfig& cfg, Rng* rng) {
-  // Pass 1: threshold + guide sample.
-  const auto sprime =
-      static_cast<std::size_t>(std::max(1.0, cfg.sprime_factor * s));
-  StreamTau tau_tracker(s);
-  StreamVarOpt guide(sprime, rng->Split());
-  for (const auto& it : items) {
-    tau_tracker.Push(it.weight);
-    guide.Push(it);
-  }
-  const double tau = tau_tracker.tau();
+  const TwoPassGuide p1 = RunPass1(items, s, cfg, rng);
+  const double tau = p1.tau_tracker.tau();
 
   // Partition: boundaries at the guide keys (excluding certain inclusions),
   // sorted by coordinate; cell j = keys with x in (b_{j-1}, b_j].
   std::vector<Coord> bounds;
-  const Sample guide_sample = guide.ToSample();
-  for (const auto& k : guide_sample.entries()) {
+  const Sample guide = p1.guide.ToSample();
+  for (const auto& k : guide.entries()) {
     if (IppsProbability(k.weight, tau) < 1.0) bounds.push_back(k.pt.x);
   }
   std::sort(bounds.begin(), bounds.end());
   bounds.erase(std::unique(bounds.begin(), bounds.end()), bounds.end());
-  const std::size_t cells = bounds.size() + 1;
 
-  struct ActiveKey {
-    WeightedKey key;
-    double p = 0.0;
-    bool present = false;
-  };
-  std::vector<ActiveKey> active(cells);
+  std::vector<TwoPassCell> active(bounds.size() + 1);
   std::vector<WeightedKey> sample;
   Rng local = rng->Split();
-
-  // Pass 2: IO-AGGREGATE per cell.
   for (const auto& item : items) {
-    if (item.weight <= 0.0) continue;
-    double p = SnapProbability(IppsProbability(item.weight, tau));
-    if (p == 1.0) {
-      sample.push_back(item);
-      continue;
-    }
-    if (p == 0.0) continue;
-    const std::size_t cell =
+    const auto cell = static_cast<std::size_t>(
         std::lower_bound(bounds.begin(), bounds.end(), item.pt.x) -
-        bounds.begin();
-    ActiveKey& a = active[cell];
-    if (!a.present) {
-      a.key = item;
-      a.p = p;
-      a.present = true;
-      continue;
-    }
-    PairAggregate(&p, &a.p, &local);
-    if (a.p == 1.0) sample.push_back(a.key);
-    if (IsSet(a.p)) a.present = false;
-    if (p == 1.0) sample.push_back(item);
-    if (!IsSet(p)) {
-      a.key = item;
-      a.p = p;
-      a.present = true;
-    }
+        bounds.begin());
+    IoAggregate(item, tau, &active[cell], &sample, &local);
   }
-
-  // Final aggregation: left-to-right fold over cells (the main-memory order
-  // aggregation applied to the active keys).
-  std::vector<WeightedKey> akeys;
-  std::vector<double> aprobs;
-  for (const auto& slot : active) {
-    if (slot.present) {
-      akeys.push_back(slot.key);
-      aprobs.push_back(slot.p);
-    }
-  }
-  std::vector<std::size_t> order(akeys.size());
-  for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-  {
-    RngStream draws(&local);
-    const std::size_t leftover = ChainAggregateRange(
-        aprobs.data(), order.data(), order.size(), kNoEntry, &draws);
-    ResolveResidual(aprobs.data(), leftover, &draws);
-  }
-  for (std::size_t e = 0; e < akeys.size(); ++e) {
-    if (aprobs[e] == 1.0) sample.push_back(akeys[e]);
-  }
+  // Final aggregation: a left-to-right fold over the cells (the main-memory
+  // order aggregation applied to the active keys).
+  FinalAggregate(&active, EmitCellChain, &local, &sample);
   return Sample(tau, std::move(sample));
 }
-
-namespace {
-
-/// IO-AGGREGATE step shared by the 1-D two-pass variants: processes one key
-/// against the active slot of its cell.
-struct CellSlot {
-  WeightedKey key;
-  double p = 0.0;
-  bool present = false;
-};
-
-void IoAggregateStep(const WeightedKey& item, double p, CellSlot* slot,
-                     std::vector<WeightedKey>* sample, Rng* rng) {
-  if (!slot->present) {
-    slot->key = item;
-    slot->p = p;
-    slot->present = true;
-    return;
-  }
-  PairAggregate(&p, &slot->p, rng);
-  if (slot->p == 1.0) sample->push_back(slot->key);
-  if (IsSet(slot->p)) slot->present = false;
-  if (p == 1.0) sample->push_back(item);
-  if (!IsSet(p)) {
-    slot->key = item;
-    slot->p = p;
-    slot->present = true;
-  }
-}
-
-}  // namespace
 
 Sample TwoPassDisjointSample(const std::vector<WeightedKey>& items,
                              const std::vector<int>& range_of,
                              int num_ranges, double s,
                              const TwoPassConfig& cfg, Rng* rng) {
   assert(items.size() == range_of.size());
-  // Pass 1.
-  const auto sprime =
-      static_cast<std::size_t>(std::max(1.0, cfg.sprime_factor * s));
-  StreamTau tau_tracker(s);
-  StreamVarOpt guide(sprime, rng->Split());
-  for (const auto& it : items) {
-    tau_tracker.Push(it.weight);
-    guide.Push(it);
-  }
-  const double tau = tau_tracker.tau();
+  const TwoPassGuide p1 = RunPass1(items, s, cfg, rng);
+  const double tau = p1.tau_tracker.tau();
 
   // Partition: a dedicated cell per range represented in the guide sample,
   // plus one cell per maximal run of unrepresented range ids (these runs
   // carry < 1 probability mass w.h.p.).
   std::vector<char> represented(num_ranges, 0);
-  const Sample guide_sample = guide.ToSample();
-  for (const auto& k : guide_sample.entries()) {
+  const Sample guide = p1.guide.ToSample();
+  for (const auto& k : guide.entries()) {
     if (IppsProbability(k.weight, tau) < 1.0) {
-      represented[range_of[k.id]] = 1;
+      represented[range_of[k.id]] = 1;  // guide ids are input positions
     }
   }
   std::vector<int> cell_of_range(num_ranges, -1);
@@ -386,44 +328,16 @@ Sample TwoPassDisjointSample(const std::vector<WeightedKey>& items,
       cell_of_range[r] = current_gap_cell;
     }
   }
-  if (cells == 0) cells = 1;
 
-  // Pass 2.
-  std::vector<CellSlot> active(cells);
+  std::vector<TwoPassCell> active(std::max(cells, 1));
   std::vector<WeightedKey> sample;
   Rng local = rng->Split();
-  for (const auto& item : items) {
-    if (item.weight <= 0.0) continue;
-    const double p = SnapProbability(IppsProbability(item.weight, tau));
-    if (p == 1.0) {
-      sample.push_back(item);
-      continue;
-    }
-    if (p == 0.0) continue;
-    const int cell = std::max(0, cell_of_range[range_of[item.id]]);
-    IoAggregateStep(item, p, &active[cell], &sample, &local);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    const int cell = std::max(0, cell_of_range[range_of[i]]);
+    IoAggregate(items[i], tau, &active[cell], &sample, &local);
   }
-
   // Final aggregation: across-cell order is arbitrary for disjoint ranges.
-  std::vector<WeightedKey> akeys;
-  std::vector<double> aprobs;
-  for (const auto& slot : active) {
-    if (slot.present) {
-      akeys.push_back(slot.key);
-      aprobs.push_back(slot.p);
-    }
-  }
-  std::vector<std::size_t> order(akeys.size());
-  std::iota(order.begin(), order.end(), 0);
-  {
-    RngStream draws(&local);
-    const std::size_t leftover = ChainAggregateRange(
-        aprobs.data(), order.data(), order.size(), kNoEntry, &draws);
-    ResolveResidual(aprobs.data(), leftover, &draws);
-  }
-  for (std::size_t e = 0; e < akeys.size(); ++e) {
-    if (aprobs[e] == 1.0) sample.push_back(akeys[e]);
-  }
+  FinalAggregate(&active, EmitCellChain, &local, &sample);
   return Sample(tau, std::move(sample));
 }
 
@@ -436,8 +350,8 @@ Sample TwoPassHierarchySample(const std::vector<WeightedKey>& items,
     // Totally order the keys by DFS rank and run the order variant; node
     // ranges are rank intervals, so Delta < 2 w.h.p. carries over.
     std::vector<WeightedKey> relabeled = items;
-    for (auto& it : relabeled) {
-      it.pt.x = h.rank_of_key(it.id);
+    for (std::size_t k = 0; k < relabeled.size(); ++k) {
+      relabeled[k].pt.x = h.rank_of_key(static_cast<KeyId>(k));
     }
     return TwoPassOrderSample(relabeled, s, cfg, rng);
   }
@@ -445,19 +359,12 @@ Sample TwoPassHierarchySample(const std::vector<WeightedKey>& items,
   // Ancestor variant: select every ancestor of every guide key; each key's
   // cell is its lowest selected ancestor. Works best for shallow
   // hierarchies (the paper's caveat) but gives Delta < 1 w.h.p.
-  const auto sprime =
-      static_cast<std::size_t>(std::max(1.0, cfg.sprime_factor * s));
-  StreamTau tau_tracker(s);
-  StreamVarOpt guide(sprime, rng->Split());
-  for (const auto& it : items) {
-    tau_tracker.Push(it.weight);
-    guide.Push(it);
-  }
-  const double tau = tau_tracker.tau();
+  const TwoPassGuide p1 = RunPass1(items, s, cfg, rng);
+  const double tau = p1.tau_tracker.tau();
 
   std::vector<char> selected(h.num_nodes(), 0);
-  const Sample guide_sample = guide.ToSample();
-  for (const auto& k : guide_sample.entries()) {
+  const Sample guide = p1.guide.ToSample();
+  for (const auto& k : guide.entries()) {
     if (IppsProbability(k.weight, tau) >= 1.0) continue;
     for (int v = h.leaf_of_key(k.id); v != Hierarchy::kNoParent;
          v = h.parent(v)) {
@@ -467,63 +374,26 @@ Sample TwoPassHierarchySample(const std::vector<WeightedKey>& items,
   }
   selected[h.root()] = 1;  // catch-all for keys outside all guide subtrees
 
-  // Dense cell ids for selected nodes.
-  std::vector<int> cell_of_node(h.num_nodes(), -1);
-  int cells = 0;
-  for (int v = 0; v < h.num_nodes(); ++v) {
-    if (selected[v]) cell_of_node[v] = cells++;
-  }
-
-  // Pass 2: a key's cell is its lowest selected ancestor.
-  std::vector<CellSlot> active(cells);
+  // Pass 2: a key's cell is its lowest selected ancestor; cells are named
+  // by node id (unselected nodes never hold a key).
+  std::vector<TwoPassCell> active(h.num_nodes());
   std::vector<WeightedKey> sample;
   Rng local = rng->Split();
-  for (const auto& item : items) {
-    if (item.weight <= 0.0) continue;
-    const double p = SnapProbability(IppsProbability(item.weight, tau));
-    if (p == 1.0) {
-      sample.push_back(item);
-      continue;
-    }
-    if (p == 0.0) continue;
-    int v = h.leaf_of_key(item.id);
+  for (std::size_t k = 0; k < items.size(); ++k) {
+    int v = h.leaf_of_key(static_cast<KeyId>(k));
     while (!selected[v]) v = h.parent(v);
-    IoAggregateStep(item, p, &active[cell_of_node[v]], &sample, &local);
+    IoAggregate(items[k], tau, &active[v], &sample, &local);
   }
 
   // Final aggregation follows the hierarchy: bottom-up, each node chains
-  // its own active key with the leftovers of its children (builders
-  // guarantee parent(v) < v, so a reverse scan is bottom-up).
-  std::vector<WeightedKey> akeys;
-  std::vector<double> aprobs;
-  std::vector<std::size_t> entry_of_cell(cells, kNoEntry);
-  for (int c = 0; c < cells; ++c) {
-    if (active[c].present) {
-      entry_of_cell[c] = akeys.size();
-      akeys.push_back(active[c].key);
-      aprobs.push_back(active[c].p);
-    }
-  }
-  std::vector<std::size_t> leftover(h.num_nodes(), kNoEntry);
-  std::vector<std::size_t> entries;
-  {
-    RngStream draws(&local);
-    for (int v = h.num_nodes() - 1; v >= 0; --v) {
-      entries.clear();
-      if (selected[v] && entry_of_cell[cell_of_node[v]] != kNoEntry) {
-        entries.push_back(entry_of_cell[cell_of_node[v]]);
-      }
-      for (int c : h.children(v)) {
-        if (leftover[c] != kNoEntry) entries.push_back(leftover[c]);
-      }
-      leftover[v] = ChainAggregateRange(aprobs.data(), entries.data(),
-                                        entries.size(), kNoEntry, &draws);
-    }
-    ResolveResidual(aprobs.data(), leftover[h.root()], &draws);
-  }
-  for (std::size_t e = 0; e < akeys.size(); ++e) {
-    if (aprobs[e] == 1.0) sample.push_back(akeys[e]);
-  }
+  // its own cell's active key with the leftovers of its children.
+  FinalAggregate(
+      &active,
+      [&h](const std::vector<std::size_t>& entry_of_node,
+           AggregationTree* tree) {
+        EmitHierarchyTree(h, entry_of_node, tree);
+      },
+      &local, &sample);
   return Sample(tau, std::move(sample));
 }
 

@@ -9,11 +9,16 @@
 //           with high probability p(L) <= 1 for every cell.
 //   Pass 2: IO-AGGREGATE (Algorithm 3) — maintain one active key per cell;
 //           pair-aggregate each arriving key with its cell's active key.
-//   Final:  aggregate the remaining active keys following the structure.
+//   Final:  aggregate the remaining active keys along the partition's
+//           tree with the in-memory samplers' TreeAggregate.
 //
-// Partitions are provided for product structures (kd-tree over S'), order
-// structures (subintervals between consecutive S' keys) and hierarchies
-// (linearization — giving Delta < 2 — per the paper's discussion).
+// Partitions: product structures (kd-tree over S'; final tree = the
+// locate table reversed), order structures (subintervals between
+// consecutive S' keys; one chain in cell order), disjoint ranges (one
+// chain in cell order) and hierarchies (linearization — Delta < 2 — or
+// lowest selected ancestors, aggregated per node). The in-memory variants
+// are positional like their one-pass twins: items[i]'s structure is
+// range_of[i] / hierarchy leaf leaf_of_key(i), whatever its id.
 //
 // The product sampler's pass 2 is batched: Pass2Batch locates 16 items at
 // a time in a compact 16-byte-per-node table and aggregates them in input
@@ -37,6 +42,18 @@
 
 namespace sas {
 
+/// One partition cell's IO-AGGREGATE state during pass 2: the cell's open
+/// active key, if any.
+struct TwoPassCell {
+  WeightedKey key;
+  double p = 0.0;
+  bool present = false;
+};
+
+/// Pass-1 state of every construction (the streaming threshold and the
+/// guide sample); defined in two_pass.cc.
+struct TwoPassGuide;
+
 struct TwoPassConfig {
   /// Oversampling factor: s' = factor * s (the paper uses 5).
   double sprime_factor = 5.0;
@@ -57,7 +74,7 @@ struct TwoPassConfig {
 class TwoPassProductSampler {
  public:
   TwoPassProductSampler(double s, TwoPassConfig cfg, Rng rng);
-  ~TwoPassProductSampler();  // out-of-line: Pass1State is incomplete here
+  ~TwoPassProductSampler();  // out-of-line: TwoPassGuide is incomplete here
 
   void Pass1(const WeightedKey& item);
 
@@ -89,16 +106,13 @@ class TwoPassProductSampler {
   void RequirePhase(Phase want, const char* call) const;
   void RunPass2(std::span<const WeightedKey> items);
 
-  double s_;
-  TwoPassConfig cfg_;
   // sas-lint: allow(unforked-rng): member slot only; every constructor
   // copies it from the caller-provided generator.
   Rng rng_;
   Phase phase_ = Phase::kPass1;
 
   // Pass-1 state (defined in two_pass.cc to keep this header light).
-  struct Pass1State;
-  std::unique_ptr<Pass1State> pass1_;
+  std::unique_ptr<TwoPassGuide> pass1_;
 
   // Pass-2 state.
   double tau_ = 0.0;
@@ -110,12 +124,7 @@ class TwoPassProductSampler {
   };
   static_assert(sizeof(LocateNode) == 16);
   std::vector<LocateNode> locate_;  // node 0 is the root
-  struct ActiveKey {
-    WeightedKey key;
-    double p = 0.0;
-    bool present = false;
-  };
-  std::vector<ActiveKey> active_;  // one slot per cell
+  std::vector<TwoPassCell> active_;  // one slot per cell
   std::vector<WeightedKey> sample_;
 };
 
@@ -133,7 +142,7 @@ Sample TwoPassOrderSample(const std::vector<WeightedKey>& items, double s,
 /// Two-pass summarizer for disjoint ranges (Section 5): one cell per range
 /// represented in the guide sample, plus one cell per maximal run of
 /// unrepresented range ids between represented ones. Delta < 1 per range
-/// w.h.p. `range_of` maps a key to its range id in [0, num_ranges).
+/// w.h.p. range_of[i] is the range id of items[i], in [0, num_ranges).
 Sample TwoPassDisjointSample(const std::vector<WeightedKey>& items,
                              const std::vector<int>& range_of,
                              int num_ranges, double s,
@@ -146,7 +155,7 @@ enum class HierarchyTwoPassVariant {
 };
 
 /// Two-pass summarizer for hierarchies (Section 5). items[k] must be the
-/// key at hierarchy leaf leaf_of_key(k) with k == item.id.
+/// key at hierarchy leaf leaf_of_key(k).
 Sample TwoPassHierarchySample(const std::vector<WeightedKey>& items,
                               const Hierarchy& h, double s,
                               const TwoPassConfig& cfg,

@@ -103,6 +103,29 @@ std::size_t ChainAggregateRange(double* p, const std::size_t* indices,
   return active;
 }
 
+void TreeAggregate(const AggregationTree& tree, double* probs, Rng* rng,
+                   TreeAggregateScratch* scratch) {
+  const std::size_t groups = tree.num_groups();
+  if (groups == 0) return;
+  const std::size_t n = tree.num_entries;
+  auto& leftover = scratch->leftover;
+  auto& chain = scratch->chain;
+  leftover.resize(groups);
+  RngStream draws(rng);
+  for (std::size_t g = 0; g < groups; ++g) {
+    chain.clear();
+    for (std::size_t k = tree.start[g]; k < tree.start[g + 1]; ++k) {
+      const std::size_t m = tree.members[k];
+      assert(m < n + g);  // an entry or an earlier group's leftover
+      const std::size_t e = m < n ? m : leftover[m - n];
+      if (e != kNoEntry) chain.push_back(e);
+    }
+    leftover[g] = ChainAggregateRange(probs, chain.data(), chain.size(),
+                                      kNoEntry, &draws);
+  }
+  ResolveResidual(probs, leftover[groups - 1], &draws);
+}
+
 void ResolveResidual(std::vector<double>* probs, std::size_t entry,
                      Rng* rng) {
   if (entry == kNoEntry) return;

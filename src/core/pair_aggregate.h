@@ -45,12 +45,10 @@ inline constexpr std::size_t kNoEntry = static_cast<std::size_t>(-1);
 /// survives as the new carry. Returns the index of the final open entry, or
 /// kNoEntry if everything is set.
 ///
-/// This is the "one active key" scan shared by the order summarizer
-/// (Algorithm 5), the per-group stage of the disjoint-range summarizer, and
-/// the per-node stage of the hierarchy summarizers. It forwards to
-/// ChainAggregateRange below with a local draw stream, so it consumes
-/// exactly the same rng draws as the classic one-PairAggregate-per-merge
-/// loop and leaves the rng in exactly the same state.
+/// This is the "one active key" scan of Algorithm 5 (one group of
+/// TreeAggregate below). It forwards to ChainAggregateRange with a local
+/// draw stream, so it consumes exactly the draws of the classic
+/// one-PairAggregate-per-merge loop and leaves the rng in the same state.
 std::size_t ChainAggregate(std::vector<double>* probs,
                            const std::vector<std::size_t>& indices,
                            std::size_t carry, Rng* rng);
@@ -63,12 +61,56 @@ std::size_t ChainAggregate(std::vector<double>* probs,
 /// PairAggregate. `indices[0..count)` must be distinct and in range; `carry`
 /// may be kNoEntry or an entry index (it may also already be settled).
 ///
-/// Callers that run many chains in one pass (hierarchy and kd bottom-up
-/// aggregation) should share a single RngStream across all of them and rely
-/// on its Flush to reposition the underlying Rng once at the end.
+/// Callers that run many chains in one pass (TreeAggregate) share a single
+/// RngStream across all of them; its Flush repositions the Rng once.
 std::size_t ChainAggregateRange(double* probs, const std::size_t* indices,
                                 std::size_t count, std::size_t carry,
                                 RngStream* draws);
+
+/// A bottom-up aggregation order over the entries of a probability vector,
+/// in CSR form: group g lists members[start[g] .. start[g+1]). Groups are
+/// listed in aggregation order. A member m < num_entries names entry m; a
+/// member m >= num_entries names the leftover (final open entry) of the
+/// earlier group m - num_entries. The last group is the root.
+///
+/// Every structure-aware sampler is an emitter of such a tree (one group
+/// for an order, a group per range plus a root for disjoint ranges, a
+/// group per node in reverse id order for hierarchies and kd trees), and
+/// TreeAggregate below is the one routine that aggregates them all. The
+/// vectors keep their capacity across Clear, so a warm tree is refilled
+/// without allocating.
+struct AggregationTree {
+  std::size_t num_entries = 0;
+  std::vector<std::size_t> start;  // {0} once Cleared
+  std::vector<std::size_t> members;
+
+  /// Empties the tree over a vector of n entries.
+  void Clear(std::size_t n) {
+    num_entries = n;
+    start.assign(1, 0);
+    members.clear();
+  }
+  void Add(std::size_t member) { members.push_back(member); }
+  /// Closes the group of the members added since the previous close.
+  void CloseGroup() { start.push_back(members.size()); }
+  std::size_t num_groups() const {
+    return start.empty() ? 0 : start.size() - 1;
+  }
+};
+
+/// Reusable working memory of TreeAggregate (capacity kept across calls).
+struct TreeAggregateScratch {
+  std::vector<std::size_t> leftover;  // per group
+  std::vector<std::size_t> chain;     // one group, leftovers resolved
+};
+
+/// Aggregates the groups of `tree` in order, one ChainAggregateRange per
+/// group over its members (settled entries and empty leftovers are
+/// skipped), all drawing from one RngStream over `rng`, then resolves the
+/// root's leftover with ResolveResidual. On return every entry of `probs`
+/// (num_entries of them) is set. A tree without groups is a no-op.
+void TreeAggregate(const AggregationTree& tree, double* probs, Rng* rng,
+                   TreeAggregateScratch* scratch);
 
 /// Resolves a final open entry by a Bernoulli draw (needed only when the
 /// initial probability mass was non-integral or drifted by floating point).

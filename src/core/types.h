@@ -7,6 +7,7 @@
 #ifndef SAS_CORE_TYPES_H_
 #define SAS_CORE_TYPES_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -69,6 +70,17 @@ struct MultiRangeQuery {
   /// Exact answer over the full data, filled by the query generator.
   Weight exact = 0.0;
 };
+
+/// An axis-parallel box in d dimensions: one interval per axis.
+using BoxN = std::vector<Interval>;
+
+/// True if flat point `pt` (box.size() coords) lies in the box.
+inline bool BoxNContains(const BoxN& box, const Coord* pt) {
+  for (std::size_t a = 0; a < box.size(); ++a) {
+    if (!box[a].Contains(pt[a])) return false;
+  }
+  return true;
+}
 
 }  // namespace sas
 

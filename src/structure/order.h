@@ -15,11 +15,6 @@ namespace sas {
 /// order, so duplicate coordinates are handled deterministically).
 std::vector<std::size_t> SortedOrder(const std::vector<Coord>& coords);
 
-/// As SortedOrder, into a caller-owned vector (capacity reused, so warm
-/// callers sort allocation-free).
-void SortedOrderInto(const std::vector<Coord>& coords,
-                     std::vector<std::size_t>* out);
-
 /// Permutes `values` into the order given by `order` (out-of-place).
 template <typename T>
 std::vector<T> ApplyOrder(const std::vector<std::size_t>& order,

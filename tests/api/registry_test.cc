@@ -1,7 +1,7 @@
 // Registry round-trip tests: for a fixed seed, MakeSummarizer must produce
-// summaries identical to direct calls of the legacy free functions in
-// src/aware/ (the adapters are thin and deterministic), plus error-path
-// coverage for unknown keys and invalid configs.
+// summaries identical to direct calls of the structure-aware pipeline
+// (AwareSummarizeInto; the adapters are thin and deterministic), plus
+// error-path coverage for unknown keys and invalid configs.
 
 #include <gtest/gtest.h>
 
@@ -11,13 +11,9 @@
 #include <vector>
 
 #include "api/registry.h"
-#include "aware/disjoint_summarizer.h"
-#include "aware/hierarchy_summarizer.h"
-#include "aware/kd_nd.h"
-#include "aware/order_summarizer.h"
-#include "aware/product_summarizer.h"
 #include "core/random.h"
 #include "structure/hierarchy.h"
+#include "../aware/aware_test_util.h"
 #include "test_util.h"
 
 namespace sas {
@@ -44,7 +40,7 @@ const SampleSummary& BuildSample(const char* key,
   return *sample;
 }
 
-void ExpectSameSummary(const SampleSummary& got, const SummarizeResult& want,
+void ExpectSameSummary(const SampleSummary& got, const test::AwareResult& want,
                        const std::vector<WeightedKey>& items) {
   EXPECT_DOUBLE_EQ(got.tau(), want.tau);
   EXPECT_EQ(SortedIds(got.sample()), SortedIds(want.sample));
@@ -63,7 +59,7 @@ void ExpectSameSummary(const SampleSummary& got, const SummarizeResult& want,
   (void)items;
 }
 
-TEST(RegistryEquivalence, OrderMatchesLegacyFreeFunction) {
+TEST(RegistryEquivalence, OrderMatchesPipeline) {
   Rng data_rng(11);
   const auto items = RandomItems(300, 1 << 12, &data_rng);
   for (std::uint64_t seed : {1u, 7u, 42u}) {
@@ -75,13 +71,13 @@ TEST(RegistryEquivalence, OrderMatchesLegacyFreeFunction) {
     const SampleSummary& got = BuildSample(keys::kOrder, cfg, items, &holder);
 
     Rng rng(seed);
-    const SummarizeResult want = OrderSummarize(items, 40.0, &rng);
+    const test::AwareResult want = test::OrderSample(items, 40.0, &rng);
     ExpectSameSummary(got, want, items);
     EXPECT_EQ(got.Name(), keys::kOrder);
   }
 }
 
-TEST(RegistryEquivalence, ProductMatchesLegacyFreeFunction) {
+TEST(RegistryEquivalence, ProductMatchesPipeline) {
   Rng data_rng(12);
   const auto items = RandomItems(300, 1 << 12, &data_rng);
   for (std::uint64_t seed : {2u, 9u, 77u}) {
@@ -94,13 +90,13 @@ TEST(RegistryEquivalence, ProductMatchesLegacyFreeFunction) {
         BuildSample(keys::kProduct, cfg, items, &holder);
 
     Rng rng(seed);
-    const SummarizeResult want = ProductSummarize(items, 50.0, &rng);
+    const test::AwareResult want = test::ProductSample(items, 50.0, &rng);
     ExpectSameSummary(got, want, items);
     EXPECT_EQ(got.Name(), keys::kProduct);
   }
 }
 
-TEST(RegistryEquivalence, HierarchyMatchesLegacyFreeFunction) {
+TEST(RegistryEquivalence, HierarchyMatchesPipeline) {
   Rng data_rng(13);
   const std::size_t n = 200;
   Rng tree_rng(5);
@@ -119,13 +115,13 @@ TEST(RegistryEquivalence, HierarchyMatchesLegacyFreeFunction) {
         BuildSample(keys::kHierarchy, cfg, items, &holder);
 
     Rng rng(seed);
-    const SummarizeResult want = HierarchySummarize(items, h, 25.0, &rng);
+    const test::AwareResult want = test::HierarchySample(items, h, 25.0, &rng);
     ExpectSameSummary(got, want, items);
     EXPECT_EQ(got.Name(), keys::kHierarchy);
   }
 }
 
-TEST(RegistryEquivalence, DisjointMatchesLegacyFreeFunction) {
+TEST(RegistryEquivalence, DisjointMatchesPipeline) {
   Rng data_rng(14);
   const std::size_t n = 240;
   const int num_ranges = 8;
@@ -145,14 +141,14 @@ TEST(RegistryEquivalence, DisjointMatchesLegacyFreeFunction) {
         BuildSample(keys::kDisjoint, cfg, items, &holder);
 
     Rng rng(seed);
-    const SummarizeResult want =
-        DisjointSummarize(items, range_of, num_ranges, 30.0, &rng);
+    const test::AwareResult want =
+        test::DisjointSample(items, range_of, num_ranges, 30.0, &rng);
     ExpectSameSummary(got, want, items);
     EXPECT_EQ(got.Name(), keys::kDisjoint);
   }
 }
 
-TEST(RegistryEquivalence, NdMatchesLegacyFreeFunction) {
+TEST(RegistryEquivalence, NdMatchesPipeline) {
   Rng data_rng(15);
   const auto items = RandomItems(250, 1 << 10, &data_rng);
   // Flatten exactly as the adapter's Add does: x then y per item.
@@ -172,10 +168,11 @@ TEST(RegistryEquivalence, NdMatchesLegacyFreeFunction) {
     const SampleSummary& got = BuildSample(keys::kNd, cfg, items, &holder);
 
     Rng rng(seed);
-    const ResultNd want = ProductSummarizeNd(coords, 2, weights, 35.0, &rng);
+    const SummarizeOutput want =
+        test::NdSample(coords, 2, weights, 35.0, &rng);
     EXPECT_DOUBLE_EQ(got.tau(), want.tau);
     std::vector<KeyId> want_ids;
-    for (std::size_t i : want.chosen) {
+    for (std::uint32_t i : want.chosen) {
       want_ids.push_back(items[i].id);
     }
     std::sort(want_ids.begin(), want_ids.end());
@@ -210,6 +207,18 @@ TEST(RegistryErrors, InvalidConfigThrows) {
 
   cfg = SummarizerConfig{};  // disjoint method without ranges
   EXPECT_THROW(MakeSummarizer(keys::kDisjoint, cfg), std::invalid_argument);
+
+  // A range id outside [0, num_ranges) would index past the per-range
+  // tables of both disjoint constructions.
+  for (int bad : {-1, 3}) {
+    cfg = SummarizerConfig{};
+    cfg.structure = StructureSpec::Disjoint({0, 1, bad, 2}, 3);
+    EXPECT_THROW(MakeSummarizer(keys::kDisjoint, cfg), std::invalid_argument)
+        << bad;
+    EXPECT_THROW(MakeSummarizer(keys::kDisjointTwoPass, cfg),
+                 std::invalid_argument)
+        << bad;
+  }
 
   cfg = SummarizerConfig{};
   cfg.structure = StructureSpec::Nd(0);  // bad dimension

@@ -1,4 +1,4 @@
-#include "aware/disjoint_summarizer.h"
+#include "aware/aware_summarize.h"
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 #include "core/ipps.h"
 #include "core/pair_aggregate.h"
 #include "core/random.h"
+#include "aware_test_util.h"
 
 namespace sas {
 namespace {
@@ -32,7 +33,7 @@ TEST(DisjointSummarize, ExactSampleSize) {
       range_of[i] = static_cast<int>(rng.NextBounded(ranges));
     }
     const std::size_t s = 1 + rng.NextBounded(n - 1);
-    const auto result = DisjointSummarize(MakeItems(w), range_of, ranges,
+    const auto result = test::DisjointSample(MakeItems(w), range_of, ranges,
                                           static_cast<double>(s), &rng);
     EXPECT_EQ(result.sample.size(), s);
   }
@@ -51,7 +52,7 @@ TEST(DisjointSummarize, EveryRangeFloorOrCeil) {
     }
     const double s = 2 + static_cast<double>(rng.NextBounded(15));
     const auto result =
-        DisjointSummarize(MakeItems(w), range_of, ranges, s, &rng);
+        test::DisjointSample(MakeItems(w), range_of, ranges, s, &rng);
 
     std::vector<double> expected(ranges, 0.0);
     std::vector<int> actual(ranges, 0);
@@ -78,7 +79,7 @@ TEST(DisjointSummarize, InclusionFrequencyMatchesIpps) {
   const int trials = 60000;
   Rng rng(3);
   for (int t = 0; t < trials; ++t) {
-    const auto result = DisjointSummarize(items, range_of, 3, s, &rng);
+    const auto result = test::DisjointSample(items, range_of, 3, s, &rng);
     for (const auto& e : result.sample.entries()) hits[e.id]++;
   }
   for (std::size_t i = 0; i < w.size(); ++i) {
@@ -88,10 +89,22 @@ TEST(DisjointSummarize, InclusionFrequencyMatchesIpps) {
   }
 }
 
+/// Aggregates every entry of *p along the disjoint-range tree.
+void AggregateRanges(std::vector<double>* p, const std::vector<int>& range_of,
+                     int num_ranges, Rng* rng) {
+  std::vector<std::size_t> open(p->size());
+  for (std::size_t i = 0; i < open.size(); ++i) open[i] = i;
+  AggregationTree tree;
+  tree.Clear(p->size());
+  EmitDisjointTree(range_of.data(), num_ranges, open, &tree);
+  TreeAggregateScratch scratch;
+  TreeAggregate(tree, p->data(), rng, &scratch);
+}
+
 TEST(DisjointAggregate, SingleRangeDegeneratesToChain) {
   Rng rng(4);
   std::vector<double> p{0.5, 0.5, 0.5, 0.5};
-  DisjointAggregate(&p, {0, 0, 0, 0}, 1, &rng);
+  AggregateRanges(&p, {0, 0, 0, 0}, 1, &rng);
   int ones = 0;
   for (double x : p) {
     EXPECT_TRUE(IsSet(x));
@@ -103,7 +116,7 @@ TEST(DisjointAggregate, SingleRangeDegeneratesToChain) {
 TEST(DisjointAggregate, EmptyRangesTolerated) {
   Rng rng(5);
   std::vector<double> p{0.5, 0.5};
-  DisjointAggregate(&p, {0, 3}, 5, &rng);  // ranges 1,2,4 empty
+  AggregateRanges(&p, {0, 3}, 5, &rng);  // ranges 1,2,4 empty
   EXPECT_TRUE(IsSet(p[0]) && IsSet(p[1]));
 }
 

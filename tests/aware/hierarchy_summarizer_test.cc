@@ -1,4 +1,4 @@
-#include "aware/hierarchy_summarizer.h"
+#include "aware/aware_summarize.h"
 
 #include <gtest/gtest.h>
 
@@ -7,7 +7,9 @@
 
 #include "core/discrepancy.h"
 #include "core/ipps.h"
+#include "core/pair_aggregate.h"
 #include "core/random.h"
+#include "aware_test_util.h"
 
 namespace sas {
 namespace {
@@ -46,7 +48,7 @@ TEST(HierarchySummarize, ExactSampleSize) {
     for (auto& x : w) x = rng.NextPareto(1.2);
     const std::size_t s = 1 + rng.NextBounded(n - 1);
     const auto result =
-        HierarchySummarize(MakeItems(w), h, static_cast<double>(s), &rng);
+        test::HierarchySample(MakeItems(w), h, static_cast<double>(s), &rng);
     EXPECT_EQ(result.sample.size(), s);
   }
 }
@@ -70,7 +72,7 @@ TEST_P(HierarchyDiscrepancy, EveryNodeBelowOne) {
     std::vector<Weight> w(n);
     for (auto& x : w) x = rng.NextPareto(1.2);
     const auto items = MakeItems(w);
-    const auto result = HierarchySummarize(items, h, s, &rng);
+    const auto result = test::HierarchySample(items, h, s, &rng);
 
     std::vector<KeyId> ids;
     for (const auto& e : result.sample.entries()) ids.push_back(e.id);
@@ -111,7 +113,7 @@ TEST(HierarchySummarize, PaperFigure1Example) {
 
   Rng rng(77);
   for (int trial = 0; trial < 200; ++trial) {
-    const auto result = HierarchySummarize(MakeItems(w), h, s, &rng);
+    const auto result = test::HierarchySample(MakeItems(w), h, s, &rng);
     ASSERT_EQ(result.sample.size(), 4u);
     // Every internal node gets floor/ceil of its expectation.
     std::vector<KeyId> ids;
@@ -142,7 +144,7 @@ TEST(HierarchySummarize, InclusionFrequencyMatchesIpps) {
   const int trials = 60000;
   Rng rng(6);
   for (int t = 0; t < trials; ++t) {
-    const SummarizeResult result = HierarchySummarize(items, h, s, &rng);
+    const test::AwareResult result = test::HierarchySample(items, h, s, &rng);
     for (const auto& e : result.sample.entries()) {
       hits[e.id]++;
     }
@@ -180,7 +182,7 @@ TEST(HierarchySummarize, UnbiasedNodeSum) {
   double total = 0.0;
   const int trials = 30000;
   for (int t = 0; t < trials; ++t) {
-    const auto result = HierarchySummarize(items, h, 12.0, &rng);
+    const auto result = test::HierarchySample(items, h, 12.0, &rng);
     total += result.sample.EstimateSubset([&](const WeightedKey& k) {
       const std::size_t r = h.rank_of_key(k.id);
       return r >= h.leaf_begin(node) && r < h.leaf_end(node);
@@ -193,10 +195,18 @@ TEST(HierarchyAggregate, BalancedTreeUniformProbs) {
   // 16 leaves at p=1/2 on a complete binary tree: every subtree of 2^k
   // leaves must get exactly 2^(k-1) samples (discrepancy 0 at even masses).
   const Hierarchy h = Hierarchy::Balanced(4, 2);
+  std::vector<std::size_t> entry_of_node(h.num_nodes(), kNoEntry);
+  for (int v = 0; v < h.num_nodes(); ++v) {
+    if (h.is_leaf(v)) entry_of_node[v] = h.key_of_leaf(v);
+  }
+  AggregationTree tree;
+  tree.Clear(16);
+  EmitHierarchyTree(h, entry_of_node, &tree);
+  TreeAggregateScratch scratch;
   Rng rng(9);
   for (int trial = 0; trial < 100; ++trial) {
     std::vector<double> p(16, 0.5);
-    HierarchyAggregate(&p, h, &rng);
+    TreeAggregate(tree, p.data(), &rng, &scratch);
     for (int v = 0; v < h.num_nodes(); ++v) {
       const std::size_t span = h.leaf_end(v) - h.leaf_begin(v);
       if (span >= 2) {

@@ -1,4 +1,4 @@
-#include "aware/kd_nd.h"
+#include "aware/kd_hierarchy.h"
 
 #include <gtest/gtest.h>
 
@@ -9,6 +9,7 @@
 #include "core/ipps.h"
 #include "core/pair_aggregate.h"
 #include "core/random.h"
+#include "aware_test_util.h"
 
 namespace sas {
 namespace {
@@ -17,6 +18,14 @@ struct NdData {
   std::vector<Coord> coords;  // flat, n * dims
   std::vector<Weight> weights;
 };
+
+KdHierarchy BuildFlat(const std::vector<Coord>& coords, int dims,
+                      const std::vector<double>& mass) {
+  KdBuildScratch scratch;
+  KdHierarchy tree;
+  KdHierarchy::BuildInto(coords, dims, mass, &scratch, &tree);
+  return tree;
+}
 
 NdData RandomNd(std::size_t n, int dims, Coord domain, Rng* rng) {
   NdData data;
@@ -41,11 +50,11 @@ TEST(BoxNContains, Works) {
   EXPECT_FALSE(BoxNContains(box, out));
 }
 
-TEST(KdHierarchyNd, MassConservation3D) {
+TEST(KdHierarchyFlat, MassConservation3D) {
   Rng rng(1);
   const auto data = RandomNd(300, 3, 1 << 10, &rng);
   std::vector<double> mass(data.weights.begin(), data.weights.end());
-  const KdHierarchyNd tree = KdHierarchyNd::Build(data.coords, 3, mass);
+  const KdHierarchy tree = BuildFlat(data.coords, 3, mass);
   double total = 0.0;
   for (double m : mass) total += m;
   EXPECT_NEAR(tree.nodes()[tree.root()].mass, total, 1e-9);
@@ -58,28 +67,29 @@ TEST(KdHierarchyNd, MassConservation3D) {
   }
 }
 
-TEST(KdHierarchyNd, OneLeafPerPoint) {
+TEST(KdHierarchyFlat, OneLeafPerPoint) {
   Rng rng(2);
   const auto data = RandomNd(200, 4, 1 << 12, &rng);
   std::vector<double> mass(data.weights.size(), 1.0);
-  const KdHierarchyNd tree = KdHierarchyNd::Build(data.coords, 4, mass);
+  const KdHierarchy tree = BuildFlat(data.coords, 4, mass);
   int leaves = 0;
   for (const auto& node : tree.nodes()) leaves += node.IsLeaf();
   EXPECT_EQ(leaves, 200);
+  EXPECT_EQ(tree.dims(), 4);
 }
 
-TEST(ProductSummarizeNd, ExactSampleSize3D) {
+TEST(NdSummarize, ExactSampleSize3D) {
   Rng rng(3);
   for (int trial = 0; trial < 10; ++trial) {
     const auto data = RandomNd(150 + rng.NextBounded(200), 3, 1 << 12, &rng);
     const std::size_t s = 5 + rng.NextBounded(40);
-    const ResultNd r = ProductSummarizeNd(data.coords, 3, data.weights,
-                                          static_cast<double>(s), &rng);
+    const SummarizeOutput r = test::NdSample(data.coords, 3, data.weights,
+                                             static_cast<double>(s), &rng);
     EXPECT_EQ(r.chosen.size(), s);
   }
 }
 
-TEST(ProductSummarizeNd, MarginalsMatchIpps3D) {
+TEST(NdSummarize, MarginalsMatchIpps3D) {
   Rng rng(4);
   const auto data = RandomNd(30, 3, 1 << 8, &rng);
   const double s = 8.0;
@@ -87,8 +97,8 @@ TEST(ProductSummarizeNd, MarginalsMatchIpps3D) {
   std::vector<int> hits(data.weights.size(), 0);
   const int trials = 20000;
   for (int t = 0; t < trials; ++t) {
-    const ResultNd r = ProductSummarizeNd(data.coords, 3, data.weights, s,
-                                          &rng);
+    const SummarizeOutput r =
+        test::NdSample(data.coords, 3, data.weights, s, &rng);
     for (std::size_t i : r.chosen) hits[i]++;
   }
   for (std::size_t i = 0; i < data.weights.size(); ++i) {
@@ -98,7 +108,7 @@ TEST(ProductSummarizeNd, MarginalsMatchIpps3D) {
   }
 }
 
-TEST(ProductSummarizeNd, BoxDiscrepancyBeatsOblivious3D) {
+TEST(NdSummarize, BoxDiscrepancyBeatsOblivious3D) {
   // Section 4 in 3-D: the aware sample's box-count discrepancy beats a
   // structure-oblivious aggregation at equal size. The oblivious
   // comparison aggregates the same probabilities in random order.
@@ -149,7 +159,9 @@ TEST(ProductSummarizeNd, BoxDiscrepancyBeatsOblivious3D) {
   };
 
   const double aware = rms([&] {
-    return ProductSummarizeNd(data.coords, 3, data.weights, s, &rng).chosen;
+    const std::vector<std::uint32_t> chosen =
+        test::NdSample(data.coords, 3, data.weights, s, &rng).chosen;
+    return std::vector<std::size_t>(chosen.begin(), chosen.end());
   });
   const double obliv = rms([&] {
     // Oblivious: aggregate the same probabilities in random order.
@@ -171,12 +183,12 @@ TEST(ProductSummarizeNd, BoxDiscrepancyBeatsOblivious3D) {
   EXPECT_LT(aware, 0.95 * obliv) << "aware=" << aware << " obliv=" << obliv;
 }
 
-TEST(ProductSummarizeNd, OneDimensionalDegenerate) {
+TEST(NdSummarize, OneDimensionalDegenerate) {
   // dims = 1 reduces to the order structure.
   Rng rng(6);
   const auto data = RandomNd(100, 1, 1 << 14, &rng);
-  const ResultNd r = ProductSummarizeNd(data.coords, 1, data.weights, 10.0,
-                                        &rng);
+  const SummarizeOutput r =
+      test::NdSample(data.coords, 1, data.weights, 10.0, &rng);
   EXPECT_EQ(r.chosen.size(), 10u);
 }
 

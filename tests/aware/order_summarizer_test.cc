@@ -1,4 +1,4 @@
-#include "aware/order_summarizer.h"
+#include "aware/aware_summarize.h"
 
 #include <gtest/gtest.h>
 
@@ -8,6 +8,7 @@
 #include "core/ipps.h"
 #include "core/pair_aggregate.h"
 #include "core/random.h"
+#include "aware_test_util.h"
 
 namespace sas {
 namespace {
@@ -28,7 +29,7 @@ TEST(OrderSummarize, ExactSampleSize) {
     for (auto& x : w) x = rng.NextPareto(1.2);
     const std::size_t s = 1 + rng.NextBounded(n - 1);
     const auto result =
-        OrderSummarize(MakeItems(w), static_cast<double>(s), &rng);
+        test::OrderSample(MakeItems(w), static_cast<double>(s), &rng);
     EXPECT_EQ(result.sample.size(), s);
   }
 }
@@ -48,7 +49,7 @@ TEST_P(OrderDiscrepancy, PrefixBelowOneIntervalBelowTwo) {
     std::vector<Weight> w(n);
     for (auto& x : w) x = rng.NextPareto(1.2);
     const auto items = MakeItems(w);
-    const auto result = OrderSummarize(items, s, &rng);
+    const auto result = test::OrderSample(items, s, &rng);
 
     std::vector<KeyId> ids;
     for (const auto& e : result.sample.entries()) ids.push_back(e.id);
@@ -75,7 +76,7 @@ TEST(OrderSummarize, InclusionFrequencyMatchesIpps) {
   const int trials = 60000;
   Rng rng(2);
   for (int t = 0; t < trials; ++t) {
-    const SummarizeResult result = OrderSummarize(items, s, &rng);
+    const test::AwareResult result = test::OrderSample(items, s, &rng);
     for (const auto& e : result.sample.entries()) {
       hits[e.id]++;
     }
@@ -99,7 +100,7 @@ TEST(OrderSummarize, UnbiasedRangeSum) {
   double total = 0.0;
   const int trials = 40000;
   for (int t = 0; t < trials; ++t) {
-    total += OrderSummarize(items, 10.0, &rng).sample.EstimateBox(range);
+    total += test::OrderSample(items, 10.0, &rng).sample.EstimateBox(range);
   }
   EXPECT_NEAR(total / trials / truth, 1.0, 0.02);
 }
@@ -115,7 +116,7 @@ TEST(OrderSummarize, UnsortedInputHandled) {
                 {static_cast<Coord>((i * 37) % n), 0}};
   }
   for (int trial = 0; trial < 100; ++trial) {
-    const auto result = OrderSummarize(items, 9.0, &rng);
+    const auto result = test::OrderSample(items, 9.0, &rng);
     // Discrepancy in coordinate order: reindex by x.
     std::vector<double> probs_by_x(n);
     std::vector<char> flags_by_x(n, 0);
@@ -130,8 +131,13 @@ TEST(OrderSummarize, UnsortedInputHandled) {
 TEST(OrderAggregate, SetsEverything) {
   Rng rng(5);
   std::vector<double> p{0.25, 0.5, 0.75, 0.5};
-  std::vector<std::size_t> order{0, 1, 2, 3};
-  OrderAggregate(&p, order, &rng);
+  const std::vector<Coord> xs{3, 0, 2, 1};
+  AggregationTree tree;
+  tree.Clear(p.size());
+  EmitOrderTree(xs.data(), {0, 1, 2, 3}, &tree);
+  EXPECT_EQ(tree.members, (std::vector<std::size_t>{1, 3, 2, 0}));
+  TreeAggregateScratch scratch;
+  TreeAggregate(tree, p.data(), &rng, &scratch);
   for (double x : p) EXPECT_TRUE(IsSet(x));
 }
 

@@ -1,4 +1,4 @@
-#include "aware/product_summarizer.h"
+#include "aware/aware_summarize.h"
 
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include "core/random.h"
 #include "sampling/varopt_offline.h"
 #include "summaries/exact_summary.h"
+#include "aware_test_util.h"
 
 namespace sas {
 namespace {
@@ -35,7 +36,7 @@ TEST(ProductSummarize, ExactSampleSize) {
     const auto items = RandomItems(n, 1 << 16, &rng);
     const std::size_t s = 5 + rng.NextBounded(n / 2);
     const auto result =
-        ProductSummarize(items, static_cast<double>(s), &rng);
+        test::ProductSample(items, static_cast<double>(s), &rng);
     EXPECT_EQ(result.sample.size(), s);
   }
 }
@@ -50,7 +51,7 @@ TEST(ProductSummarize, InclusionFrequencyMatchesIpps) {
   std::vector<int> hits(items.size(), 0);
   const int trials = 40000;
   for (int t = 0; t < trials; ++t) {
-    const SummarizeResult result = ProductSummarize(items, s, &rng);
+    const test::AwareResult result = test::ProductSample(items, s, &rng);
     for (const auto& e : result.sample.entries()) {
       hits[e.id]++;
     }
@@ -71,7 +72,7 @@ TEST(ProductSummarize, UnbiasedBoxSum) {
   double total = 0.0;
   const int trials = 20000;
   for (int t = 0; t < trials; ++t) {
-    total += ProductSummarize(items, 20.0, &rng).sample.EstimateBox(box);
+    total += test::ProductSample(items, 20.0, &rng).sample.EstimateBox(box);
   }
   EXPECT_NEAR(total / trials / truth, 1.0, 0.03);
 }
@@ -116,7 +117,7 @@ TEST(ProductSummarize, BoxDiscrepancyBeatsOblivious) {
   };
 
   const double aware = rms_disc(
-      [&] { return ProductSummarize(items, s, &rng).sample; });
+      [&] { return test::ProductSample(items, s, &rng).sample; });
   const double obliv =
       rms_disc([&] { return VarOptOffline(items, s, &rng); });
   EXPECT_LT(aware, 0.8 * obliv)
@@ -133,7 +134,8 @@ TEST(KdAggregate, AllSetAndMassConserved) {
   }
   const KdHierarchy tree = KdHierarchy::Build(pts, probs);
   std::vector<double> work = probs;
-  KdAggregate(&work, tree, &rng);
+  SummarizeScratch scratch;
+  KdAggregate(&work, tree, &rng, &scratch);
   int ones = 0;
   for (double x : work) {
     EXPECT_TRUE(x == 0.0 || x == 1.0);
@@ -147,7 +149,7 @@ TEST(ProductSummarize, HeavyKeysAlwaysIncluded) {
   auto items = RandomItems(100, 1 << 10, &rng);
   items[7].weight = 1e6;
   for (int t = 0; t < 30; ++t) {
-    const auto result = ProductSummarize(items, 10.0, &rng);
+    const auto result = test::ProductSample(items, 10.0, &rng);
     bool found = false;
     for (const auto& e : result.sample.entries()) found |= e.id == 7;
     EXPECT_TRUE(found);

@@ -1,14 +1,20 @@
 // Tests for the Section 5 two-pass variants beyond the product structure:
-// disjoint ranges and hierarchies (linearized and ancestor partitions).
+// disjoint ranges and hierarchies (linearized and ancestor partitions),
+// including that both are positional like their in-memory twins: the
+// structure of items[i] is range_of[i] / hierarchy leaf leaf_of_key(i)
+// whatever the items' ids (ids far outside [0, n) once read past the end
+// of range_of and the hierarchy's leaf table).
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
+#include "api/registry.h"
 #include "aware/two_pass.h"
 #include "core/ipps.h"
 #include "core/random.h"
+#include "structure/hierarchy.h"
 
 namespace sas {
 namespace {
@@ -206,6 +212,70 @@ INSTANTIATE_TEST_SUITE_P(
                  ? "linearize"
                  : "ancestors";
     });
+
+/// Builds `key` over the items twice — with ids = positions and with ids
+/// 100000 + position — and expects the same sample up to the id shift.
+void ExpectPositional(const char* key, SummarizerConfig cfg,
+                      const std::vector<WeightedKey>& items) {
+  std::vector<WeightedKey> shifted = items;
+  for (std::size_t i = 0; i < shifted.size(); ++i) {
+    shifted[i].id = static_cast<KeyId>(100000 + i);
+  }
+  auto plain_builder = MakeSummarizer(key, cfg);
+  plain_builder->AddBatch(items);
+  const auto plain = plain_builder->Finalize();
+  auto shifted_builder = MakeSummarizer(key, cfg);
+  shifted_builder->AddBatch(shifted);
+  const auto moved = shifted_builder->Finalize();
+  const Sample& a = plain->AsSample()->sample();
+  const Sample& b = moved->AsSample()->sample();
+  EXPECT_EQ(a.tau(), b.tau()) << key;
+  ASSERT_EQ(a.size(), b.size()) << key;
+  ASSERT_GT(a.size(), 0u) << key;
+  for (std::size_t e = 0; e < a.size(); ++e) {
+    EXPECT_EQ(a.entries()[e].id + 100000, b.entries()[e].id) << key;
+    EXPECT_EQ(a.entries()[e].weight, b.entries()[e].weight) << key;
+  }
+}
+
+std::vector<WeightedKey> PositionalItems(std::size_t n, Rng* rng) {
+  std::vector<WeightedKey> items(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    items[i] = {static_cast<KeyId>(i), rng->NextPareto(1.3),
+                {static_cast<Coord>(i), 0}};
+  }
+  return items;
+}
+
+TEST(TwoPassPositional, DisjointKeyIgnoresIds) {
+  Rng rng(71);
+  const std::vector<WeightedKey> items = PositionalItems(200, &rng);
+  std::vector<int> range_of(items.size());
+  for (std::size_t i = 0; i < range_of.size(); ++i) {
+    range_of[i] = static_cast<int>(i % 9);
+  }
+  SummarizerConfig cfg;
+  cfg.s = 20.0;
+  cfg.seed = 8;
+  cfg.structure = StructureSpec::Disjoint(range_of, 9);
+  ExpectPositional("disjoint-2p", cfg, items);
+}
+
+TEST(TwoPassPositional, HierarchyKeyIgnoresIdsUnderBothPartitions) {
+  Rng rng(72);
+  const std::vector<WeightedKey> items = PositionalItems(200, &rng);
+  Rng tree_rng(73);
+  const Hierarchy h = Hierarchy::Random(items.size(), 4, &tree_rng);
+  SummarizerConfig cfg;
+  cfg.s = 20.0;
+  cfg.seed = 9;
+  cfg.structure = StructureSpec::OverHierarchy(&h);
+  for (HierarchyPartition partition :
+       {HierarchyPartition::kLinearize, HierarchyPartition::kAncestors}) {
+    cfg.hierarchy_partition = partition;
+    ExpectPositional("hierarchy-2p", cfg, items);
+  }
+}
 
 }  // namespace
 }  // namespace sas

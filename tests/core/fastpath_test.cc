@@ -10,14 +10,14 @@
 //    repositioning of the source generator on Flush.
 //  * ChainAggregateRange: bit-identical probability vectors, leftover
 //    entries, and post-call rng state.
-//  * Kd builds (2-D and N-d, both thin wrappers over the shared
-//    dims-parameterized KdBuildCore since the unification): bit-identical
-//    node arrays and item orders on duplicate-free inputs (duplicate
-//    handling is property-checked; the tie order inside an all-duplicate
-//    leaf is index-based where the classic build inherited std::sort's
-//    unspecified tie order). These tests double as the proof that the
-//    unified core — including the 2-D path's flat-coords facade over
-//    Point2D — reproduces the pre-unification builds exactly, so the
+//  * Kd builds (2-D and flat N-d KdHierarchy, thin wrappers over the
+//    shared dims-parameterized KdBuildCore since the unification):
+//    bit-identical node arrays and item orders on duplicate-free inputs
+//    (duplicate handling is property-checked; the tie order inside an
+//    all-duplicate leaf is index-based where the classic build inherited
+//    std::sort's unspecified tie order). These tests double as the proof
+//    that the unified core — including the 2-D path's flat-coords facade
+//    over Point2D — reproduces the pre-unification builds exactly, so the
 //    golden seeds did not need re-recording.
 //  * The radix-sorted, payload-carrying kd build against a verbatim copy
 //    of the sort-once build it replaced (ref::KdBuildSortOnce), bit for
@@ -25,8 +25,10 @@
 //    that need all eight radix bytes, an all-zero axis, n <= 3, d in
 //    {1, 3, 4}.
 //  * Aggregation passes of every summarizer family (order / hierarchy /
-//    product / disjoint / nd), run against the reference chain given the
-//    same inputs.
+//    product / disjoint): each structure's emitter plus TreeAggregate,
+//    run against the classic per-family loops over the
+//    reference chain given the same inputs: bit-identical probabilities
+//    and post-call rng state.
 //
 // SolveTau is the one explicitly re-baselined primitive: the selection
 // search accumulates suffix sums in a different order than the classic
@@ -44,12 +46,10 @@
 #include <numeric>
 #include <vector>
 
-#include "aware/disjoint_summarizer.h"
-#include "aware/hierarchy_summarizer.h"
+#include "aware/aware_summarize.h"
+#include "aware/kd_build_core.h"
 #include "aware/kd_hierarchy.h"
-#include "aware/kd_nd.h"
-#include "aware/order_summarizer.h"
-#include "aware/product_summarizer.h"
+#include "aware/summarize_scratch.h"
 #include "core/ipps.h"
 #include "core/pair_aggregate.h"
 #include "core/random.h"
@@ -58,6 +58,23 @@
 
 namespace sas {
 namespace {
+/// The node layout of the pre-fold N-d kd class (no parent field), which
+/// the verbatim N-d reference build below fills; the library's KdHierarchy
+/// now serves every dimension.
+struct KdHierarchyNd {
+  struct Node {
+    int left = KdHierarchy::kNull;
+    int right = KdHierarchy::kNull;
+    int axis = 0;
+    Coord split = 0;
+    double mass = 0.0;
+    std::size_t begin = 0;
+    std::size_t end = 0;
+
+    bool IsLeaf() const { return left == KdHierarchy::kNull; }
+  };
+};
+
 namespace ref {
 
 // --- Classic implementations, copied from the pre-fast-path sources. ------
@@ -493,6 +510,14 @@ std::vector<double> OpenProbs(std::size_t n, std::uint64_t seed,
     }
   }
   return p;
+}
+
+KdHierarchy BuildFlat(const std::vector<Coord>& coords, int dims,
+                      const std::vector<double>& mass) {
+  KdBuildScratch scratch;
+  KdHierarchy tree;
+  KdHierarchy::BuildInto(coords, dims, mass, &scratch, &tree);
+  return tree;
 }
 
 void ExpectSameRngState(Rng a, Rng b) {
@@ -966,7 +991,8 @@ TEST(FastKdBuildNd, BitIdenticalToReferenceOnDistinctPoints) {
       Rng rng(100 + n + dims);
       std::vector<double> mass(n);
       for (auto& m : mass) m = 0.01 + 0.98 * rng.NextDouble();
-      const KdHierarchyNd got = KdHierarchyNd::Build(coords, dims, mass);
+      const KdHierarchy got = BuildFlat(coords, dims, mass);
+      ASSERT_EQ(got.dims(), dims);
       const ref::KdTreeNd want = ref::KdBuildNd(coords, dims, mass);
       ASSERT_EQ(got.nodes().size(), want.nodes.size())
           << "dims=" << dims << " n=" << n;
@@ -1025,7 +1051,7 @@ void ExpectSameAsSortOnce2D(const std::vector<Point2D>& pts,
 
 void ExpectSameAsSortOnceNd(const std::vector<Coord>& coords, int dims,
                             const std::vector<double>& mass) {
-  const KdHierarchyNd got = KdHierarchyNd::Build(coords, dims, mass);
+  const KdHierarchy got = BuildFlat(coords, dims, mass);
   const ref::SortOnceTree want =
       ref::KdBuildSortOnce(coords.data(), dims, mass);
   ASSERT_EQ(got.nodes().size(), want.nodes.size()) << "dims=" << dims;
@@ -1150,7 +1176,20 @@ GoldenData MakeGolden(std::size_t n, double s, std::uint64_t seed) {
   return g;
 }
 
-TEST(FastPathEndToEnd, OrderAggregateMatchesReference) {
+/// Runs `tree` over a copy of `probs` with Rng(seed); returns the settled
+/// probabilities and leaves the post-call generator in *rng_out.
+std::vector<double> RunTree(const AggregationTree& tree,
+                            const std::vector<double>& probs,
+                            std::uint64_t seed, Rng* rng_out) {
+  std::vector<double> p = probs;
+  Rng rng(seed);
+  TreeAggregateScratch scratch;
+  TreeAggregate(tree, p.data(), &rng, &scratch);
+  *rng_out = rng;
+  return p;
+}
+
+TEST(FastPathEndToEnd, OrderEmitterMatchesReference) {
   const GoldenData g = MakeGolden(4000, 300.0, 2024);
   std::vector<Coord> xs;
   for (const auto& it : g.items) xs.push_back(it.pt.x);
@@ -1165,23 +1204,26 @@ TEST(FastPathEndToEnd, OrderAggregateMatchesReference) {
                                                &rng_ref);
   ref::ResolveResidual(&p_ref, left, &rng_ref);
 
-  std::vector<double> p_new = g.probs;
-  Rng rng_new(31337);
-  OrderAggregate(&p_new, order, &rng_new);
-
-  ASSERT_EQ(p_ref, p_new);
+  std::vector<std::size_t> all(g.items.size());
+  std::iota(all.begin(), all.end(), 0);
+  AggregationTree tree;
+  tree.Clear(g.items.size());
+  EmitOrderTree(xs.data(), all, &tree);
+  ASSERT_EQ(tree.members, order);
+  Rng rng_new(0);
+  ASSERT_EQ(p_ref, RunTree(tree, g.probs, 31337, &rng_new));
   ExpectSameRngState(rng_ref, rng_new);
 }
 
-TEST(FastPathEndToEnd, HierarchyAggregateMatchesReference) {
+TEST(FastPathEndToEnd, HierarchyEmitterMatchesReference) {
   const std::size_t n = 3125;  // 5^5 leaves
   const Hierarchy h = Hierarchy::Balanced(5, 5);
   ASSERT_EQ(h.num_keys(), n);
   const GoldenData g = MakeGolden(n, 250.0, 777);
 
   std::vector<double> p_ref = g.probs;
+  Rng rng(4242);
   {
-    Rng rng(4242);
     const int nodes = h.num_nodes();
     std::vector<std::size_t> leftover(nodes, kNoEntry);
     std::vector<std::size_t> entries;
@@ -1201,13 +1243,19 @@ TEST(FastPathEndToEnd, HierarchyAggregateMatchesReference) {
     ref::ResolveResidual(&p_ref, leftover[h.root()], &rng);
   }
 
-  std::vector<double> p_new = g.probs;
-  Rng rng_new(4242);
-  HierarchyAggregate(&p_new, h, &rng_new);
-  ASSERT_EQ(p_ref, p_new);
+  std::vector<std::size_t> entry_of_node(h.num_nodes(), kNoEntry);
+  for (int v = 0; v < h.num_nodes(); ++v) {
+    if (h.is_leaf(v)) entry_of_node[v] = h.key_of_leaf(v);
+  }
+  AggregationTree tree;
+  tree.Clear(n);
+  EmitHierarchyTree(h, entry_of_node, &tree);
+  Rng rng_new(0);
+  ASSERT_EQ(p_ref, RunTree(tree, g.probs, 4242, &rng_new));
+  ExpectSameRngState(rng, rng_new);
 }
 
-TEST(FastPathEndToEnd, KdAggregateMatchesReference) {
+TEST(FastPathEndToEnd, KdEmitterMatchesReference) {
   const GoldenData g = MakeGolden(3000, 200.0, 99);
   std::vector<Point2D> pts;
   std::vector<double> open_mass;
@@ -1223,8 +1271,8 @@ TEST(FastPathEndToEnd, KdAggregateMatchesReference) {
   const KdHierarchy tree = KdHierarchy::Build(pts, open_mass);
 
   std::vector<double> p_ref = open_mass;
+  Rng rng(606);
   {
-    Rng rng(606);
     const int nodes = tree.num_nodes();
     std::vector<std::size_t> leftover(nodes, kNoEntry);
     std::vector<std::size_t> entries;
@@ -1249,13 +1297,47 @@ TEST(FastPathEndToEnd, KdAggregateMatchesReference) {
     ref::ResolveResidual(&p_ref, leftover[tree.root()], &rng);
   }
 
-  std::vector<double> p_new = open_mass;
-  Rng rng_new(606);
-  KdAggregate(&p_new, tree, &rng_new);
-  ASSERT_EQ(p_ref, p_new);
+  // The emitter over the built KdHierarchy (KdAggregate's path).
+  AggregationTree agg;
+  agg.Clear(open_mass.size());
+  EmitKdTree(tree, &agg);
+  Rng rng_new(0);
+  ASSERT_EQ(p_ref, RunTree(agg, open_mass, 606, &rng_new));
+  ExpectSameRngState(rng, rng_new);
+
+  // The emitter over the core's SoA output (the product pipeline's path),
+  // in the global index space of the open entries.
+  std::vector<Coord> flat;
+  for (const Point2D& p : pts) {
+    flat.push_back(p.x);
+    flat.push_back(p.y);
+  }
+  KdBuildScratch kd_scratch;
+  std::vector<std::size_t> item_order;
+  const KdCoreBuild core = KdBuildCore(flat.data(), 2, open_mass.data(),
+                                       open_mass.size(), &kd_scratch,
+                                       &item_order);
+  AggregationTree agg_core;
+  agg_core.Clear(g.items.size());
+  EmitKdTree(core, item_order, open, &agg_core);
+  Rng rng_core(0);
+  const std::vector<double> p_core =
+      RunTree(agg_core, g.probs, 606, &rng_core);
+  for (std::size_t j = 0; j < open.size(); ++j) {
+    ASSERT_EQ(p_core[open[j]], p_ref[j]) << "open entry " << j;
+  }
+  ExpectSameRngState(rng, rng_core);
+
+  // KdAggregate itself.
+  std::vector<double> p_kd = open_mass;
+  Rng rng_kd(606);
+  SummarizeScratch scratch;
+  KdAggregate(&p_kd, tree, &rng_kd, &scratch);
+  ASSERT_EQ(p_ref, p_kd);
+  ExpectSameRngState(rng, rng_kd);
 }
 
-TEST(FastPathEndToEnd, DisjointAggregateMatchesReference) {
+TEST(FastPathEndToEnd, DisjointEmitterMatchesReference) {
   const GoldenData g = MakeGolden(2500, 150.0, 11);
   const int num_ranges = 40;
   std::vector<int> range_of(g.items.size());
@@ -1264,8 +1346,8 @@ TEST(FastPathEndToEnd, DisjointAggregateMatchesReference) {
   }
 
   std::vector<double> p_ref = g.probs;
+  Rng rng(2718);
   {
-    Rng rng(2718);
     std::vector<std::vector<std::size_t>> buckets(num_ranges);
     for (std::size_t i = 0; i < p_ref.size(); ++i) {
       if (!IsSet(p_ref[i])) buckets[range_of[i]].push_back(i);
@@ -1281,30 +1363,42 @@ TEST(FastPathEndToEnd, DisjointAggregateMatchesReference) {
     ref::ResolveResidual(&p_ref, fin, &rng);
   }
 
-  std::vector<double> p_new = g.probs;
-  Rng rng_new(2718);
-  DisjointAggregate(&p_new, range_of, num_ranges, &rng_new);
-  ASSERT_EQ(p_ref, p_new);
+  std::vector<std::size_t> open;
+  for (std::size_t i = 0; i < g.probs.size(); ++i) {
+    if (!IsSet(g.probs[i])) open.push_back(i);
+  }
+  AggregationTree tree;
+  tree.Clear(g.items.size());
+  EmitDisjointTree(range_of.data(), num_ranges, open, &tree);
+  Rng rng_new(0);
+  ASSERT_EQ(p_ref, RunTree(tree, g.probs, 2718, &rng_new));
+  ExpectSameRngState(rng, rng_new);
 }
 
 TEST(FastPathEndToEnd, SummarizersAreDeterministicAndExact) {
-  // The public summarizer entry points over the fast paths: two identical
-  // builds agree key-for-key, and certain inclusions obey p == 1.
+  // The one pipeline entry point over the fast paths: two identical builds
+  // agree key-for-key, and certain inclusions obey p == 1 and lead the
+  // chosen list.
   const GoldenData g = MakeGolden(2000, 120.0, 5150);
-  for (int round = 0; round < 2; ++round) {
-    Rng r1(round + 1), r2(round + 1);
-    const SummarizeResult a = OrderSummarize(g.items, 120.0, &r1);
-    const SummarizeResult b = OrderSummarize(g.items, 120.0, &r2);
-    ASSERT_EQ(a.sample.size(), b.sample.size());
-    for (std::size_t i = 0; i < a.sample.size(); ++i) {
-      ASSERT_EQ(a.sample.entries()[i].id, b.sample.entries()[i].id);
-    }
-    Rng r3(round + 1), r4(round + 1);
-    const SummarizeResult c = ProductSummarize(g.items, 120.0, &r3);
-    const SummarizeResult d = ProductSummarize(g.items, 120.0, &r4);
-    ASSERT_EQ(c.sample.size(), d.sample.size());
-    for (std::size_t i = 0; i < c.sample.size(); ++i) {
-      ASSERT_EQ(c.sample.entries()[i].id, d.sample.entries()[i].id);
+  std::vector<Weight> weights;
+  for (const auto& it : g.items) weights.push_back(it.weight);
+  for (const AwareStructure& st :
+       {AwareStructure::Order(g.items), AwareStructure::Kd(g.items)}) {
+    for (int round = 0; round < 2; ++round) {
+      SummarizeScratch scratch;
+      SummarizeOutput a, b;
+      Rng r1(round + 1), r2(round + 1);
+      AwareSummarizeInto(weights, st, 120.0, &r1, &scratch, &a);
+      AwareSummarizeInto(weights, st, 120.0, &r2, &scratch, &b);
+      ASSERT_EQ(a.chosen, b.chosen);
+      ASSERT_EQ(a.probs, g.probs);
+      std::size_t certain = 0;
+      while (certain < a.chosen.size() && a.probs[a.chosen[certain]] == 1.0) {
+        ++certain;
+      }
+      for (std::size_t i = certain; i < a.chosen.size(); ++i) {
+        ASSERT_LT(a.probs[a.chosen[i]], 1.0);
+      }
     }
   }
 }

@@ -10,9 +10,7 @@
 #include <cstddef>
 #include <vector>
 
-#include "aware/hierarchy_summarizer.h"
-#include "aware/order_summarizer.h"
-#include "aware/product_summarizer.h"
+#include "../aware/aware_test_util.h"
 #include "core/random.h"
 #include "sampling/varopt_offline.h"
 #include "structure/hierarchy.h"
@@ -123,7 +121,7 @@ TEST(MergeSamples, UnbiasedOverOrderData) {
   CheckMergedBoxUnbiased(
       items, box, 40, 400, 0.04,
       [](const std::vector<WeightedKey>& half, bool, Rng* rng) {
-        return OrderSummarize(half, 32.0, rng).sample;
+        return test::OrderSample(half, 32.0, rng).sample;
       });
 }
 
@@ -142,7 +140,7 @@ TEST(MergeSamples, UnbiasedOverHierarchyData) {
   CheckMergedBoxUnbiased(
       items, box, 40, 400, 0.04,
       [&](const std::vector<WeightedKey>& half, bool first, Rng* rng) {
-        return HierarchySummarize(half, first ? ha : hb, 32.0, rng).sample;
+        return test::HierarchySample(half, first ? ha : hb, 32.0, rng).sample;
       });
 }
 
@@ -153,7 +151,7 @@ TEST(MergeSamples, UnbiasedOverProductData) {
   CheckMergedBoxUnbiased(
       items, box, 40, 400, 0.04,
       [](const std::vector<WeightedKey>& half, bool, Rng* rng) {
-        return ProductSummarize(half, 32.0, rng).sample;
+        return test::ProductSample(half, 32.0, rng).sample;
       });
 }
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "core/random.h"
@@ -233,6 +234,60 @@ TEST(ResolveResidual, NoEntryIsNoOp) {
   std::vector<double> p{0.5};
   ResolveResidual(&p, kNoEntry, &rng);
   EXPECT_DOUBLE_EQ(p[0], 0.5);
+}
+
+TEST(TreeAggregate, TwoLevelTreeMatchesChainsOnOneStream) {
+  // Groups {0, 1, 2}, {3, 4, settled 5} and a root over their leftovers
+  // (members 6 + 0 and 6 + 1): the same chains, on one stream, in order.
+  const std::vector<double> p0{0.3, 0.45, 0.5, 0.35, 0.6, 1.0};
+  AggregationTree tree;
+  tree.Clear(p0.size());
+  for (std::size_t m : {0, 1, 2}) tree.Add(m);
+  tree.CloseGroup();
+  for (std::size_t m : {3, 4, 5}) tree.Add(m);
+  tree.CloseGroup();
+  tree.Add(6);
+  tree.Add(7);
+  tree.CloseGroup();
+  ASSERT_EQ(tree.num_groups(), 3u);
+  for (std::uint64_t seed = 1; seed <= 50; ++seed) {
+    std::vector<double> want = p0;
+    Rng rng_want(seed);
+    {
+      RngStream draws(&rng_want);
+      const std::size_t a[] = {0, 1, 2};
+      const std::size_t b[] = {3, 4, 5};
+      std::vector<std::size_t> root;
+      for (const std::size_t* g : {a, b}) {
+        const std::size_t l =
+            ChainAggregateRange(want.data(), g, 3, kNoEntry, &draws);
+        if (l != kNoEntry) root.push_back(l);
+      }
+      ResolveResidual(want.data(),
+                      ChainAggregateRange(want.data(), root.data(),
+                                          root.size(), kNoEntry, &draws),
+                      &draws);
+    }
+    std::vector<double> got = p0;
+    Rng rng_got(seed);
+    TreeAggregateScratch scratch;
+    TreeAggregate(tree, got.data(), &rng_got, &scratch);
+    ASSERT_EQ(got, want) << "seed " << seed;
+    EXPECT_EQ(rng_got.Next(), rng_want.Next()) << "seed " << seed;
+    for (double x : got) EXPECT_TRUE(IsSet(x));
+  }
+}
+
+TEST(TreeAggregate, TreeWithoutGroupsIsNoOp) {
+  std::vector<double> p{0.5, 0.5};
+  AggregationTree tree;
+  TreeAggregateScratch scratch;
+  Rng rng(3), untouched(3);
+  TreeAggregate(tree, p.data(), &rng, &scratch);  // never Cleared
+  tree.Clear(p.size());
+  TreeAggregate(tree, p.data(), &rng, &scratch);  // Cleared, no groups
+  EXPECT_EQ(p, (std::vector<double>{0.5, 0.5}));
+  EXPECT_EQ(rng.Next(), untouched.Next());
 }
 
 }  // namespace

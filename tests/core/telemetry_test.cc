@@ -349,6 +349,52 @@ TEST(TelemetryPhaseSpans, ArmedAwareBuildRecordsEachPhaseOnce) {
   ClearTraceEvents();
 }
 
+/// Builds `key` over 400 distinct points with telemetry armed and checks
+/// the structure-aware pipeline's phase spans: each build phase once, and
+/// `build.kd` exactly `kd_builds` times.
+void ExpectBuildPhases(const char* key, int kd_builds) {
+  ScopedEnabled on(true);
+  std::vector<WeightedKey> items;
+  for (KeyId i = 0; i < 400; ++i) {
+    items.push_back({i, 1.0 + static_cast<double>(i % 13),
+                     {(i * 2654435761ULL) & 0xFFFF, (i * 40503ULL) & 0xFFFF}});
+  }
+  SummarizerConfig cfg;
+  cfg.s = 20.0;
+  cfg.seed = 3;
+  const char* const phases[] = {"build.solve_tau", "build.ipps_fill",
+                                "build.aggregate", "build.kd"};
+  const char* const hists[] = {"sas.build.solve_tau_ns",
+                               "sas.build.ipps_fill_ns",
+                               "sas.build.aggregate_ns", "sas.build.kd_ns"};
+  const std::uint64_t want[] = {1, 1, 1,
+                                static_cast<std::uint64_t>(kd_builds)};
+  std::uint64_t before[4];
+  for (int k = 0; k < 4; ++k) before[k] = GetHistogram(hists[k])->count();
+  ClearTraceEvents();
+
+  auto builder = MakeSummarizer(key, cfg);
+  builder->AddBatch(items);
+  (void)builder->Finalize();
+
+  const std::string trace = ChromeTraceJson();
+  for (int k = 0; k < 4; ++k) {
+    EXPECT_EQ(GetHistogram(hists[k])->count() - before[k], want[k])
+        << key << ": " << hists[k];
+    EXPECT_EQ(TraceEventCount(trace, phases[k]), static_cast<int>(want[k]))
+        << key << ": " << phases[k];
+  }
+  ClearTraceEvents();
+}
+
+TEST(TelemetryPhaseSpans, ArmedOrderBuildRecordsEachBuildPhaseOnce) {
+  ExpectBuildPhases("order", /*kd_builds=*/0);
+}
+
+TEST(TelemetryPhaseSpans, ArmedProductBuildRecordsEachBuildPhaseAndOneKd) {
+  ExpectBuildPhases("product", /*kd_builds=*/1);
+}
+
 TEST(TelemetryPhaseSpans, ArmedOblivBuildRecordsOneIndexBuild) {
   ScopedEnabled on(true);
   std::vector<WeightedKey> items;

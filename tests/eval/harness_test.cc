@@ -6,6 +6,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "../aware/aware_test_util.h"
 #include "data/network_gen.h"
 
 namespace sas {
@@ -104,7 +105,7 @@ TEST(BuildMethods, AcceptsWindowedKeys) {
 TEST(BuildMethodsNd, NdKeyWithD3DataMatchesDirectBuild) {
   // d = 3 data flows end to end through the harness under the "nd" key,
   // and the harness-built sample is exactly the one a direct
-  // ProductSummarizeNd call produces with the harness's derived seed (the
+  // pipeline call produces with the harness's derived seed (the
   // registry determinism contract), so HT estimates agree to the bit.
   NdCloudConfig gen;
   gen.num_points = 3000;
@@ -120,13 +121,13 @@ TEST(BuildMethodsNd, NdKeyWithD3DataMatchesDirectBuild) {
 
   Rng seed_rng(555);  // BuildMethodsNd derives method seeds from Rng(seed)
   Rng rng(seed_rng.Next());
-  const ResultNd want = ProductSummarizeNd(ds.coords, 3, ds.weights, 200.0,
-                                           &rng);
+  const SummarizeOutput want =
+      test::NdSample(ds.coords, 3, ds.weights, 200.0, &rng);
   ASSERT_EQ(got->sample().size(), want.chosen.size());
   std::vector<KeyId> got_ids, want_ids;
   for (const auto& e : got->sample().entries()) got_ids.push_back(e.id);
-  for (std::size_t i : want.chosen) {
-    want_ids.push_back(static_cast<KeyId>(i));
+  for (std::uint32_t i : want.chosen) {
+    want_ids.push_back(i);
   }
   std::sort(got_ids.begin(), got_ids.end());
   std::sort(want_ids.begin(), want_ids.end());
