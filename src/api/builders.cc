@@ -28,15 +28,12 @@
 namespace sas {
 namespace {
 
+/// Count-Sketch rows per dyadic level pair (the sketch baseline).
+constexpr std::size_t kSketchRows = 3;
+
 [[noreturn]] void InvalidConfig(const char* key, const std::string& why) {
   throw std::invalid_argument(std::string("MakeSummarizer(\"") + key +
                               "\"): " + why);
-}
-
-[[noreturn]] void SpentBuilder(const char* key, const char* call) {
-  throw std::logic_error(std::string(key) + " summarizer: " + call +
-                         " after Finalize (builders are spent once "
-                         "finalized)");
 }
 
 /// Base for methods that need the whole input before building.
@@ -77,9 +74,9 @@ class BufferingSummarizer : public Summarizer {
 // ---------------------------------------------------------------------------
 // Structure-aware samplers over a buffered input: the in-memory ones
 // (Sections 3 and 4) run the one pipeline, AwareSummarizeInto, and the
-// order / hierarchy / disjoint two-pass constructions (Section 5) run both
-// passes over the buffer at Finalize. The structure kind picks the emitter
-// or partition and the config check.
+// two-pass constructions (Section 5) run both passes over the buffer at
+// Finalize — "aware" is the kd kind, the paper's product sampler. The
+// structure kind picks the emitter or partition and the config check.
 
 class AwareBuilder : public BufferingSummarizer {
  public:
@@ -149,17 +146,14 @@ class AwareBuilder : public BufferingSummarizer {
     const StructureSpec& spec = cfg_.structure;
     switch (kind_) {
       case AwareStructure::Kind::kHierarchy:
-        return TwoPassHierarchySample(
-            items_, *spec.hierarchy, cfg_.s, tp,
-            cfg_.hierarchy_partition == HierarchyPartition::kAncestors
-                ? HierarchyTwoPassVariant::kAncestors
-                : HierarchyTwoPassVariant::kLinearize,
-            rng);
+        return TwoPassHierarchySample(items_, *spec.hierarchy, cfg_.s, tp,
+                                      cfg_.hierarchy_partition, rng);
       case AwareStructure::Kind::kDisjoint:
         return TwoPassDisjointSample(items_, spec.range_of, spec.num_ranges,
                                      cfg_.s, tp, rng);
+      case AwareStructure::Kind::kKd:
+        return TwoPassProductSample(items_, cfg_.s, tp, rng);
       case AwareStructure::Kind::kOrder:
-      case AwareStructure::Kind::kKd:  // "aware" streams: TwoPassProductBuilder
         break;
     }
     return TwoPassOrderSample(items_, cfg_.s, tp, rng);
@@ -296,60 +290,6 @@ class NdBuilder : public Summarizer {
 };
 
 // ---------------------------------------------------------------------------
-// Streaming constructions (Section 5). The product two-pass builder drives
-// the TwoPassProductSampler pass structure directly: pass 1 runs during
-// Add, pass 2 replays the (buffered) stream at Finalize.
-
-class TwoPassProductBuilder : public Summarizer {
- public:
-  explicit TwoPassProductBuilder(SummarizerConfig cfg)
-      : Summarizer(std::move(cfg)),
-        rng_(cfg_.seed),
-        sampler_(cfg_.s, TwoPassConfig{cfg_.sprime_factor}, rng_.Split()) {}
-
-  void Add(const WeightedKey& item) override {
-    RequireUnspent("Add");
-    if (!AdmitWeight(item.weight)) return;
-    sampler_.Pass1(item);
-    buffer_.push_back(item);
-  }
-
-  void AddBatch(std::span<const WeightedKey> items) override {
-    RequireUnspent("AddBatch");
-    if (AllFinite(items)) {
-      CountAccepted(items.size());
-      for (const WeightedKey& it : items) sampler_.Pass1(it);
-      buffer_.insert(buffer_.end(), items.begin(), items.end());
-      return;
-    }
-    for (const WeightedKey& it : items) Add(it);
-  }
-
-  bool Mergeable() const override { return true; }
-
-  std::unique_ptr<RangeSummary> Finalize() override {
-    RequireUnspent("Finalize");
-    spent_ = true;
-    sampler_.BeginPass2();
-    sampler_.Pass2Batch(buffer_);
-    return std::make_unique<SampleSummary>(keys::kAware,
-                                           sampler_.Finalize());
-  }
-
- private:
-  /// The sampler's pass-1 state is released at Finalize, so a finalized
-  /// builder is spent: further calls fail fast instead of touching it.
-  void RequireUnspent(const char* call) const {
-    if (spent_) SpentBuilder(keys::kAware, call);
-  }
-
-  Rng rng_;
-  TwoPassProductSampler sampler_;
-  std::vector<WeightedKey> buffer_;
-  bool spent_ = false;
-};
-
-// ---------------------------------------------------------------------------
 // Baselines (Section 6).
 
 class OblivBuilder : public Summarizer {
@@ -417,7 +357,7 @@ class SketchBuilder : public Summarizer {
   explicit SketchBuilder(SummarizerConfig cfg)
       : Summarizer(std::move(cfg)),
         sketch_(cfg_.bits_x, cfg_.bits_y, static_cast<std::size_t>(cfg_.s),
-                cfg_.sketch_rows, Rng(cfg_.seed).Next()) {}
+                kSketchRows, Rng(cfg_.seed).Next()) {}
 
   void Add(const WeightedKey& item) override {
     if (!AdmitWeight(item.weight)) return;
@@ -532,7 +472,8 @@ std::vector<std::pair<std::string, SummarizerFactory>> BuiltinSummarizers() {
     RequireDims(keys::kNd, cfg);
     return std::unique_ptr<Summarizer>(new NdBuilder(cfg));
   });
-  builtins.emplace_back(keys::kAware, Plain<TwoPassProductBuilder>());
+  builtins.emplace_back(
+      keys::kAware, Aware(keys::kAware, AwareStructure::Kind::kKd, true));
   builtins.emplace_back(
       keys::kOrderTwoPass,
       Aware(keys::kOrderTwoPass, AwareStructure::Kind::kOrder, true));

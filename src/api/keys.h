@@ -55,7 +55,8 @@ inline constexpr const char kWavelet[] = "wavelet";
 /// 2-D q-digest (cfg.bits_x/bits_y required). Deterministic; not
 /// mergeable.
 inline constexpr const char kQDigest[] = "qdigest";
-/// Dyadic Count-Sketch (cfg.bits_x/bits_y, sketch_rows). Not mergeable.
+/// Dyadic Count-Sketch (cfg.bits_x/bits_y; 3 rows per level pair). Not
+/// mergeable.
 inline constexpr const char kSketch[] = "sketch";
 /// Brute force over all retained data — testing/debug reference.
 inline constexpr const char kExact[] = "exact";

@@ -54,7 +54,10 @@ bool RegisterSummarizer(const std::string& key, SummarizerFactory factory);
 /// "windowed:<W>:<B>:<inner-key>" wrap any mergeable method in the
 /// time-windowed ring (window/windowed.h): B time buckets of W/B time
 /// units each, timestamped ingest via Summarizer::AsWindowed, live buckets
-/// VarOpt-merged at query/Finalize. The wrappers nest in either order.
+/// VarOpt-merged at query/Finalize. The two nest in either order, with the
+/// product of all sharded: counts at most 64 (worker threads); "serve:"
+/// (serve/servable.h) goes in front of any key. The whole key is parsed
+/// before any builder is constructed.
 /// Thread-safe; the returned builder is single-caller (api/summarizer.h).
 std::unique_ptr<Summarizer> MakeSummarizer(const std::string& key,
                                            const SummarizerConfig& cfg);
@@ -73,9 +76,10 @@ std::vector<std::string> RegisteredSummarizers();
 
 /// True when `key` would resolve in MakeSummarizer's lookup: a registered
 /// plain key, or a composed key that parses and whose innermost key is
-/// registered. A registered key can still be rejected at MakeSummarizer
-/// time for config-dependent reasons (missing structure descriptor,
-/// non-mergeable inner method). Thread-safe.
+/// registered; a malformed key reports false instead of throwing. A
+/// registered key can still be rejected at MakeSummarizer time for
+/// config-dependent reasons (missing structure descriptor, non-mergeable
+/// inner method). Thread-safe.
 bool IsRegisteredSummarizer(const std::string& key);
 
 }  // namespace sas

@@ -1,13 +1,10 @@
 #include "api/sharded.h"
 
 #include <cstddef>
-#include <cstdio>
 #include <exception>
 #include <stdexcept>
 #include <utility>
 
-#include "api/keys.h"
-#include "api/registry.h"
 #include "api/summary.h"
 #include "core/fault.h"
 #include "core/merge.h"
@@ -18,23 +15,12 @@ namespace sas {
 
 namespace {
 
-constexpr int kMaxShards = 64;
 /// Items accumulated on the caller thread before hand-off to a worker.
 constexpr std::size_t kBatchSize = 4096;
 /// Bounded queue depth per shard; a full queue back-pressures the producer.
 constexpr std::size_t kMaxQueueDepth = 4;
 
 constexpr std::uint64_t kPartitionSaltTag = 0x5A5DED5A17E1F00DULL;
-
-/// Rough bytes one retained sample entry costs across the build (the entry
-/// itself plus reservoir/prob bookkeeping). Deliberately coarse: the
-/// max_bytes budget is a soft brake on sample-driven growth, not an
-/// allocator audit.
-constexpr std::size_t kBytesPerSampleEntry = 64;
-
-[[noreturn]] void BadKey(const std::string& key, const std::string& why) {
-  throw std::invalid_argument("MakeSummarizer(\"" + key + "\"): " + why);
-}
 
 std::string BuildShardedErrorMessage(
     const std::string& key, const std::vector<ShardFailure>& failures,
@@ -67,43 +53,6 @@ std::size_t IndexWithSalt(KeyId id, std::uint64_t salt,
 std::size_t ShardIndex(KeyId id, std::uint64_t seed, int num_shards) {
   return IndexWithSalt(id, Mix64(seed ^ kPartitionSaltTag),
                        static_cast<std::uint64_t>(num_shards));
-}
-
-bool IsShardedKey(const std::string& key) {
-  return key.rfind(keys::kShardedPrefix, 0) == 0;
-}
-
-ShardedKeySpec ParseShardedKey(const std::string& key) {
-  if (!IsShardedKey(key)) {
-    BadKey(key, "not a sharded key (expected \"sharded:<N>:<inner-key>\")");
-  }
-  const std::size_t count_begin = std::string(keys::kShardedPrefix).size();
-  const std::size_t colon = key.find(':', count_begin);
-  if (colon == std::string::npos) {
-    BadKey(key, "missing inner key (expected \"sharded:<N>:<inner-key>\")");
-  }
-  const std::string count_str = key.substr(count_begin, colon - count_begin);
-  if (count_str.empty() ||
-      count_str.find_first_not_of("0123456789") != std::string::npos) {
-    BadKey(key, "shard count \"" + count_str + "\" is not a positive integer");
-  }
-  long count = 0;
-  try {
-    count = std::stol(count_str);
-  } catch (const std::out_of_range&) {
-    count = kMaxShards + 1L;
-  }
-  if (count < 1 || count > kMaxShards) {
-    BadKey(key, "shard count must be in [1, " + std::to_string(kMaxShards) +
-                    "], got \"" + count_str + "\"");
-  }
-  ShardedKeySpec spec;
-  spec.shards = static_cast<int>(count);
-  spec.inner = key.substr(colon + 1);
-  if (spec.inner.empty()) {
-    BadKey(key, "empty inner key (expected \"sharded:<N>:<inner-key>\")");
-  }
-  return spec;
 }
 
 // ---------------------------------------------------------------------------
@@ -154,43 +103,24 @@ struct ShardedSummarizer::Shard {
   std::unique_ptr<RangeSummary> result;
 
   // Telemetry instruments for this shard lane (resolved at construction;
-  // updates are guarded by the builder's TelemetryOn()).
+  // updates are guarded by telemetry::Enabled()).
   telemetry::Gauge* queue_depth = nullptr;
   telemetry::Counter* batches = nullptr;
   telemetry::Counter* items = nullptr;
 };
 
-ShardedSummarizer::ShardedSummarizer(std::string key,
-                                     const ShardedKeySpec& spec,
-                                     const SummarizerConfig& cfg)
-    : Summarizer(cfg), key_(std::move(key)), inner_key_(spec.inner) {
-  if (cfg.s < 1.0) {
-    BadKey(key_, "summary size s must be >= 1 for the sharded wrapper "
-                 "(the merged sample budget is integral)");
-  }
+ShardedSummarizer::ShardedSummarizer(std::string key, int num_shards,
+                                     const SummarizerConfig& cfg,
+                                     InnerBuilders inner)
+    : Summarizer(cfg), key_(std::move(key)), inner_(std::move(inner)) {
   // Memory-budget degradation (SummarizerConfig::max_bytes): each worker
-  // retains a sample of expected size inner s, so N shards cost roughly
-  // N * s * kBytesPerSampleEntry across the build. Step the inner s down
-  // by halving until the estimate fits (floor s = 1); estimates stay
-  // unbiased at the smaller s. Counted in IngestStats::degradations.
+  // retains a sample of expected size inner s, so the inner s is halved
+  // once, here, until N such samples fit. Estimates stay unbiased at the
+  // smaller s.
   double inner_s = cfg.s;
-  if (cfg.max_bytes > 0) {
-    const auto estimate = [&](double s) {
-      return static_cast<std::size_t>(s) * kBytesPerSampleEntry *
-             static_cast<std::size_t>(spec.shards);
-    };
-    while (estimate(inner_s) > cfg.max_bytes && inner_s >= 2.0) {
-      inner_s = inner_s / 2.0;
-      ++degrade_steps_;
-    }
-    if (degrade_steps_ > 0) {
-      std::fprintf(stderr,
-                   "sas: %s: max_bytes=%zu: degraded inner s %g -> %g "
-                   "(%u halvings)\n",
-                   key_.c_str(), cfg.max_bytes, cfg.s, inner_s,
-                   degrade_steps_);
-    }
-  }
+  degrade_steps_ = HalveToBudget(key_, &inner_s,
+                                 static_cast<std::size_t>(num_shards),
+                                 cfg.max_bytes);
   CountDegradation(degrade_steps_);
   // Cached salt of the ShardIndex partition hash (see its doc for why the
   // partition is seed-salted).
@@ -199,23 +129,16 @@ ShardedSummarizer::ShardedSummarizer(std::string key,
   backpressure_wait_ns_ =
       telemetry::GetHistogram("sas.shard.backpressure_wait_ns");
   merge_ns_ = telemetry::GetHistogram("sas.shard.merge_ns");
-  shards_.reserve(static_cast<std::size_t>(spec.shards));
-  for (int i = 0; i < spec.shards; ++i) {
-    SummarizerConfig inner_cfg = cfg;
-    inner_cfg.seed = ForkSeed(cfg.seed, static_cast<std::uint64_t>(i));
-    inner_cfg.s = inner_s;
+  shards_.reserve(static_cast<std::size_t>(num_shards));
+  for (int i = 0; i < num_shards; ++i) {
     auto sh = std::make_unique<Shard>();
     sh->index = i;
     const std::string lane = std::to_string(i);
     sh->queue_depth = telemetry::GetGauge("sas.shard.queue_depth." + lane);
     sh->batches = telemetry::GetCounter("sas.shard.batches." + lane);
     sh->items = telemetry::GetCounter("sas.shard.items." + lane);
-    sh->inner = MakeSummarizer(spec.inner, inner_cfg);
-    if (i == 0 && !sh->inner->Mergeable()) {
-      BadKey(key_, "inner method \"" + spec.inner +
-                       "\" is not mergeable (its summary is not a "
-                       "partition-tolerant VarOpt sample)");
-    }
+    sh->inner = inner_.Make(
+        cfg, ForkSeed(cfg.seed, static_cast<std::uint64_t>(i)), inner_s);
     sh->pending.items.reserve(kBatchSize);
     shards_.push_back(std::move(sh));
   }
@@ -316,7 +239,7 @@ void ShardedSummarizer::Enqueue(Shard& sh, Batch batch) {
   // Back-pressure visibility: when the producer actually blocks on a full
   // queue, the wall time spent waiting lands in the wait histogram —
   // unblocked pushes record nothing, so the metric measures stalls only.
-  if (!can_proceed() && TelemetryOn()) {
+  if (!can_proceed() && telemetry::Enabled()) {
     const std::uint64_t t0 = telemetry::NowNs();
     sh.can_push.wait(lock, can_proceed);
     backpressure_wait_ns_->Observe(telemetry::NowNs() - t0);
@@ -327,7 +250,7 @@ void ShardedSummarizer::Enqueue(Shard& sh, Batch batch) {
   // rather than blocking forever — Finalize rethrows worker errors.
   if (sh.error != nullptr || sh.closed) return;
   sh.queue.push_back(std::move(batch));
-  if (TelemetryOn()) {
+  if (telemetry::Enabled()) {
     sh.queue_depth->Set(static_cast<std::int64_t>(sh.queue.size()));
   }
   sh.can_pop.notify_one();
@@ -344,14 +267,14 @@ void ShardedSummarizer::WorkerLoop(Shard* sh) {
         if (sh->queue.empty()) break;  // closed and fully drained
         batch = std::move(sh->queue.front());
         sh->queue.pop_front();
-        if (TelemetryOn()) {
+        if (telemetry::Enabled()) {
           sh->queue_depth->Set(static_cast<std::int64_t>(sh->queue.size()));
         }
         sh->can_push.notify_one();
       }
       FaultPoint(cfg_.faults.get(), fault_sites::kShardWorkerBatch,
                  sh->index);
-      if (TelemetryOn()) {
+      if (telemetry::Enabled()) {
         sh->batches->Inc();
         sh->items->Inc(batch.size());
       }
@@ -391,7 +314,7 @@ void ShardedSummarizer::RecordWorkerError(Shard* sh,
   std::lock_guard<std::mutex> lock(sh->mu);
   sh->error = std::current_exception();
   sh->error_what = "shard " + std::to_string(sh->index) + " (inner \"" +
-                   inner_key_ + "\"): " + what;
+                   inner_.key() + "\"): " + what;
   // A dead worker drains nothing more: drop queued batches and unblock a
   // producer waiting on back-pressure (Enqueue rechecks error and bails).
   sh->queue.clear();
@@ -436,18 +359,12 @@ std::unique_ptr<RangeSummary> ShardedSummarizer::Finalize() {
   std::vector<Sample> parts;
   parts.reserve(shards_.size());
   for (auto& sh : shards_) {
-    auto* sample = dynamic_cast<SampleSummary*>(sh->result.get());
-    if (sample == nullptr) {
-      // Mergeable() promised a sample-backed summary; a custom method that
-      // lies about the capability is a programming error.
-      throw std::logic_error("sharded wrapper: inner summary \"" +
-                             sh->result->Name() + "\" is not sample-backed");
-    }
-    parts.push_back(sample->TakeSample());  // we own the result: move, not copy
+    // We own the result: move the sample out, not copy.
+    parts.push_back(InnerSample(*sh->result, key_).TakeSample());
   }
 
   Rng merge_rng(ForkSeed(cfg_.seed, shards_.size()));
-  telemetry::Span merge_span("shard.merge", merge_ns_, TelemetryOn());
+  telemetry::Span merge_span("shard.merge", merge_ns_);
   Sample merged =
       MergeAllSamples(parts, static_cast<std::size_t>(cfg_.s), &merge_rng);
   finalized_ = true;
@@ -483,12 +400,6 @@ bool ShardedSummarizer::Reset(std::uint64_t seed) {
   finalized_ = false;
   SpawnWorkers();
   return true;
-}
-
-std::unique_ptr<Summarizer> MakeShardedSummarizer(
-    const std::string& key, const SummarizerConfig& cfg) {
-  const ShardedKeySpec spec = ParseShardedKey(key);
-  return std::make_unique<ShardedSummarizer>(key, spec, cfg);
 }
 
 }  // namespace sas

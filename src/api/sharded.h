@@ -37,6 +37,7 @@
 #include <thread>
 #include <vector>
 
+#include "api/compose.h"
 #include "api/summarizer.h"
 
 namespace sas {
@@ -68,22 +69,6 @@ class ShardedIngestError : public std::runtime_error {
   std::vector<ShardFailure> failures_;
 };
 
-/// Parsed form of a composed "sharded:<N>:<inner-key>" key.
-struct ShardedKeySpec {
-  int shards = 0;
-  std::string inner;
-};
-
-/// True when `key` starts with the sharded prefix (it may still be
-/// malformed; ParseShardedKey reports why).
-bool IsShardedKey(const std::string& key);
-
-/// Parses "sharded:<N>:<inner-key>". Throws std::invalid_argument with a
-/// specific reason for malformed keys: missing/non-numeric/out-of-range
-/// shard count (valid range [1, 64]) or an empty inner key. Does not check
-/// that the inner key is registered — MakeSummarizer does.
-ShardedKeySpec ParseShardedKey(const std::string& key);
-
 /// The wrapper's partition policy: the shard (in [0, num_shards)) that key
 /// `id` is routed to under config seed `seed`. The hash is salted with the
 /// seed so that nested wrappers — whose inner seeds are forked from the
@@ -91,21 +76,17 @@ ShardedKeySpec ParseShardedKey(const std::string& key);
 /// a factor. Exposed so tests (and external routers) can pin the policy.
 std::size_t ShardIndex(KeyId id, std::uint64_t seed, int num_shards);
 
-/// Factory used by MakeSummarizer for sharded keys: parses the key, builds
-/// the N inner summarizers (validating the inner config), and rejects
-/// non-mergeable inner methods with std::invalid_argument.
-std::unique_ptr<Summarizer> MakeShardedSummarizer(const std::string& key,
-                                                  const SummarizerConfig& cfg);
-
-/// The wrapper itself. Construct through MakeSummarizer; exposed for tests.
+/// The wrapper itself. Construct through MakeSummarizer, which parses the
+/// key (api/registry.cc); exposed for tests.
 class ShardedSummarizer : public Summarizer {
  public:
-  /// `key` is the composed key reported by the finalized summary's Name().
-  /// Spawns one worker thread per shard. Throws std::invalid_argument if
-  /// the inner method is unknown, its config invalid, or it is not
-  /// Mergeable.
-  ShardedSummarizer(std::string key, const ShardedKeySpec& spec,
-                    const SummarizerConfig& cfg);
+  /// `key` is the composed key reported by the finalized summary's Name();
+  /// `num_shards` its parsed N. Builds shard i's inner builder under
+  /// ForkSeed(cfg.seed, i) at the max_bytes-halved s, then spawns one
+  /// worker thread per shard. Throws std::invalid_argument if an inner
+  /// builder cannot be made or is not Mergeable.
+  ShardedSummarizer(std::string key, int num_shards,
+                    const SummarizerConfig& cfg, InnerBuilders inner);
   ~ShardedSummarizer() override;
 
   /// Routes the item to its shard's buffer (throws std::logic_error once
@@ -166,7 +147,7 @@ class ShardedSummarizer : public Summarizer {
   void CloseAndJoin();
 
   std::string key_;
-  std::string inner_key_;   // inner method key, for error messages
+  InnerBuilders inner_;
   std::uint64_t salt_ = 0;  // partition-hash salt derived from cfg.seed
   std::vector<std::unique_ptr<Shard>> shards_;
   KeyId next_coord_id_ = 0;  // global ids handed out by AddCoords

@@ -36,11 +36,12 @@
 
 #include "api/summary.h"
 #include "core/types.h"
+#include "structure/hierarchy.h"
 
 namespace sas {
 
 class FaultInjector;
-class Hierarchy;
+class InnerBuilders;
 class ServableSummarizer;
 class WindowedSummarizer;
 
@@ -59,10 +60,10 @@ enum class IngestPolicy {
   kQuarantine,
 };
 
-/// Ingest-boundary counters surfaced by Summarizer::Describe(). Wrappers
-/// (sharded/windowed) report their own producer-side counters, not their
-/// inner builders' (records a wrapper accepts are never re-validated
-/// downstream).
+/// Ingest-boundary counters surfaced by Summarizer::Describe(). The
+/// sharded/windowed wrappers report their own producer-side counters, not
+/// their inner builders' (records a wrapper accepts are never re-validated
+/// downstream); serve: reports its inner builder's.
 struct IngestStats {
   /// Records admitted into the build.
   std::uint64_t accepted = 0;
@@ -80,47 +81,34 @@ struct IngestStats {
 /// Describes the structure on the key domain that a structure-aware method
 /// should preserve (Section 2 of the paper). Baseline methods ignore it.
 struct StructureSpec {
-  /// Which structure family the method should preserve; selects which of
-  /// the fields below are read.
-  enum class Kind { kOrder, kHierarchy, kDisjoint, kProduct, kNd };
-
-  Kind kind = Kind::kProduct;
-  /// For kHierarchy: the key hierarchy (not owned; must outlive the
+  /// For a hierarchy: the key hierarchy (not owned; must outlive the
   /// summarizer). Keys must be added in key-id order, item k at hierarchy
   /// leaf leaf_of_key(k).
   const Hierarchy* hierarchy = nullptr;
-  /// For kDisjoint: range_of[i] is the range (in [0, num_ranges)) of the
-  /// i-th item *added*, so it must have exactly one entry per item.
+  /// For disjoint ranges: range_of[i] is the range (in [0, num_ranges))
+  /// of the i-th item *added*, so it must have exactly one entry per item.
   /// Add items in key-id order if you want id-keyed semantics.
   std::vector<int> range_of;
   int num_ranges = 0;
-  /// For kNd: number of axes (points fed via AddCoords, or via Add when
-  /// dims <= 2).
+  /// For a d-dimensional product: number of axes (points fed via
+  /// AddCoords, or via Add when dims <= 2).
   int dims = 2;
 
   /// 1-D total order over the key ids.
-  static StructureSpec Order() { return {Kind::kOrder, nullptr, {}, 0, 1}; }
+  static StructureSpec Order() { return {nullptr, {}, 0, 1}; }
   /// Key hierarchy; `h` is borrowed and must outlive the summarizer.
   static StructureSpec OverHierarchy(const Hierarchy* h) {
-    return {Kind::kHierarchy, h, {}, 0, 1};
+    return {h, {}, 0, 1};
   }
   /// Disjoint flat ranges: range_of[i] is the range of the i-th item added.
   static StructureSpec Disjoint(std::vector<int> range_of, int num_ranges) {
-    return {Kind::kDisjoint, nullptr, std::move(range_of), num_ranges, 1};
+    return {nullptr, std::move(range_of), num_ranges, 1};
   }
   /// 2-D product domain (the default).
   static StructureSpec Product() { return {}; }
   /// d-dimensional product domain, dims in [1, 16] (validated by the
   /// registry at MakeSummarizer time).
-  static StructureSpec Nd(int dims) {
-    return {Kind::kNd, nullptr, {}, 0, dims};
-  }
-};
-
-/// Which Section 5 partition the two-pass hierarchy construction uses.
-enum class HierarchyPartition {
-  kLinearize,  // totally order keys by DFS rank; Delta < 2 w.h.p.
-  kAncestors,  // cells = lowest guide-selected ancestors; Delta < 1 w.h.p.
+  static StructureSpec Nd(int dims) { return {nullptr, {}, 0, dims}; }
 };
 
 /// One configuration struct for every method: target size, seed, structure
@@ -150,12 +138,10 @@ struct SummarizerConfig {
   int bits_x = 32;
   int bits_y = 32;
 
-  /// Count-Sketch rows per dyadic level pair (sketch baseline).
-  std::size_t sketch_rows = 3;
-
   /// What to do with invalid records at the ingest boundary (see
-  /// IngestPolicy). Composed wrappers validate at their outer surface and
-  /// hand inner builders pre-validated batches.
+  /// IngestPolicy). The sharded:/windowed: wrappers validate at their
+  /// outer surface and hand inner builders pre-validated batches; serve:
+  /// leaves validation to its inner builder.
   IngestPolicy ingest_policy = IngestPolicy::kStrict;
 
   /// Soft memory budget in bytes; 0 = unbounded (the default). Engines
@@ -172,14 +158,6 @@ struct SummarizerConfig {
   /// SAS_FAULTS environment variable. Tests install their own injector
   /// here for isolation; composed wrappers propagate it to inner builders.
   std::shared_ptr<FaultInjector> faults;
-
-  /// Whether this builder participates in process telemetry
-  /// (core/telemetry.h) when it is armed globally. Telemetry is off until
-  /// armed via SetEnabled()/SAS_TELEMETRY regardless of this flag, so the
-  /// default build pays one relaxed atomic load per instrumented site;
-  /// setting this false opts a builder out even of an armed process
-  /// (wrappers propagate it to inner builders like `faults`).
-  bool telemetry = true;
 };
 
 /// Uniform builder: feed items with Add/AddBatch (or AddCoords for the
@@ -270,7 +248,7 @@ class Summarizer {
   /// Ingest-boundary counters for this builder (see IngestStats). Read
   /// from the ingest thread, or after workers have joined — reading while
   /// another thread ingests is a race by the single-caller contract.
-  const IngestStats& Describe() const { return stats_; }
+  virtual const IngestStats& Describe() const { return stats_; }
 
   /// Process-wide telemetry snapshot (core/telemetry.h) with this builder's
   /// fault injector's per-site hit counters re-exported — the metrics
@@ -293,14 +271,13 @@ class Summarizer {
   /// calls (bulk-count into stats_.accepted) on clean input.
   static bool AllFinite(std::span<const WeightedKey> items);
 
-  /// True when this builder feeds the armed process telemetry: one relaxed
-  /// atomic load plus the config flag. The guard for every instrumented
-  /// site, in the style of FaultPoint.
-  bool TelemetryOn() const;
-
   /// IngestStats bumpers that mirror into the process telemetry counters
   /// (`sas.ingest.*`) when armed. Engines route every stats_ mutation
   /// through these so Describe() and the registry can never disagree.
+  /// A record is counted once: the record counters are mirrored only by
+  /// the builder that admitted it at the outermost boundary, never by a
+  /// wrapper's inner builders. Degradations are each engine's own events
+  /// and always mirror.
   void CountAccepted(std::uint64_t n = 1);
   void CountRejectedWeight(std::uint64_t n = 1);
   void CountRejectedCoord(std::uint64_t n = 1);
@@ -308,6 +285,13 @@ class Summarizer {
 
   SummarizerConfig cfg_;
   IngestStats stats_;
+
+ private:
+  friend class InnerBuilders;  // clears mirror_ingest_ (api/compose.h)
+
+  /// False for a wrapper's inner builders, whose records the wrapper
+  /// already counted.
+  bool mirror_ingest_ = true;
 };
 
 }  // namespace sas

@@ -39,7 +39,7 @@ Weight SampleSummary::EstimateQuery(const MultiRangeQuery& q) const {
   // query-path guard is the process arming alone (one relaxed load).
   static telemetry::Histogram* const estimate_ns =
       telemetry::GetHistogram("sas.query.estimate_ns");
-  telemetry::Span span("query.estimate", estimate_ns, telemetry::Enabled());
+  telemetry::Span span("query.estimate", estimate_ns);
   // One bitmap per querying thread: the summary itself stays immutable,
   // so concurrent queries need no synchronization.
   thread_local PositionBitmap bitmap;

@@ -344,9 +344,9 @@ Sample TwoPassDisjointSample(const std::vector<WeightedKey>& items,
 Sample TwoPassHierarchySample(const std::vector<WeightedKey>& items,
                               const Hierarchy& h, double s,
                               const TwoPassConfig& cfg,
-                              HierarchyTwoPassVariant variant, Rng* rng) {
+                              HierarchyPartition variant, Rng* rng) {
   assert(items.size() == h.num_keys());
-  if (variant == HierarchyTwoPassVariant::kLinearize) {
+  if (variant == HierarchyPartition::kLinearize) {
     // Totally order the keys by DFS rank and run the order variant; node
     // ranges are rank intervals, so Delta < 2 w.h.p. carries over.
     std::vector<WeightedKey> relabeled = items;

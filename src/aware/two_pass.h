@@ -128,8 +128,8 @@ class TwoPassProductSampler {
   std::vector<WeightedKey> sample_;
 };
 
-/// Convenience wrapper: runs both passes over `items` and returns the
-/// sample together with the IPPS probabilities (for discrepancy checks).
+/// Runs both passes over `items` (pass 2 as one Pass2Batch) and returns
+/// the sample: the registry's "aware" builder, under Rng(cfg.seed).
 Sample TwoPassProductSample(const std::vector<WeightedKey>& items, double s,
                             const TwoPassConfig& cfg, Rng* rng);
 
@@ -148,18 +148,12 @@ Sample TwoPassDisjointSample(const std::vector<WeightedKey>& items,
                              int num_ranges, double s,
                              const TwoPassConfig& cfg, Rng* rng);
 
-/// Which Section 5 partition the hierarchy two-pass uses.
-enum class HierarchyTwoPassVariant {
-  kLinearize,  // totally order keys by DFS rank; Delta < 2 w.h.p.
-  kAncestors,  // cells = lowest guide-selected ancestors; Delta < 1 w.h.p.
-};
-
 /// Two-pass summarizer for hierarchies (Section 5). items[k] must be the
 /// key at hierarchy leaf leaf_of_key(k).
 Sample TwoPassHierarchySample(const std::vector<WeightedKey>& items,
                               const Hierarchy& h, double s,
                               const TwoPassConfig& cfg,
-                              HierarchyTwoPassVariant variant, Rng* rng);
+                              HierarchyPartition variant, Rng* rng);
 
 }  // namespace sas
 

@@ -17,7 +17,7 @@
 //   * Every hot site is guarded: `if (telemetry::Enabled())` is one relaxed
 //     atomic load and a predictable branch, the entire cost of a disarmed
 //     build. Arming is global (SetEnabled / the SAS_TELEMETRY environment
-//     variable) with a per-builder opt-out (SummarizerConfig::telemetry).
+//     variable) and is the one switch: there is no per-builder opt-out.
 //   * Span is an RAII timer: construction stamps a start time, destruction
 //     feeds the elapsed nanoseconds into a Histogram and appends a trace
 //     event to a fixed-size per-thread ring. ChromeTraceJson() exports the
@@ -228,17 +228,15 @@ Histogram* GetHistogram(const std::string& name);
 std::uint64_t NowNs();
 
 /// RAII latency timer: stamps a start time at construction when telemetry
-/// is armed (and `armed` is true — pass a builder's config toggle there),
-/// and on destruction feeds the elapsed nanoseconds into `hist` (when non
-/// null) and appends a trace event to the calling thread's ring. `name`
-/// must point at storage that outlives the export (string literals).
+/// is armed, and on destruction feeds the elapsed nanoseconds into `hist`
+/// (when non null) and appends a trace event to the calling thread's ring.
+/// `name` must point at storage that outlives the export (string literals).
 /// Disarmed cost: the Enabled() load and a branch.
 class Span {
  public:
-  explicit Span(const char* name, Histogram* hist = nullptr,
-                bool armed = true)
+  explicit Span(const char* name, Histogram* hist = nullptr)
       : name_(name), hist_(hist) {
-    if (armed && Enabled()) {
+    if (Enabled()) {
       start_ns_ = NowNs();
       live_ = true;
     }

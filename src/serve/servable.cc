@@ -1,47 +1,22 @@
 #include "serve/servable.h"
 
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
-#include "api/keys.h"
-#include "api/registry.h"
+#include "api/compose.h"
 #include "api/summary.h"
 #include "window/windowed.h"
 
 namespace sas {
 
-namespace {
-constexpr std::size_t kServePrefixLen = 6;  // strlen("serve:")
-}  // namespace
-
-bool IsServeKey(const std::string& key) {
-  return key.rfind(keys::kServePrefix, 0) == 0;
-}
-
-std::string ParseServeKey(const std::string& key) {
-  std::string inner = key.substr(kServePrefixLen);
-  if (inner.empty()) {
-    throw std::invalid_argument("serve key \"" + key +
-                                "\": missing inner method key (grammar: "
-                                "serve:<inner-key>)");
-  }
-  return inner;
-}
-
-std::unique_ptr<Summarizer> MakeServableSummarizer(
-    const std::string& key, const SummarizerConfig& cfg) {
-  return std::make_unique<ServableSummarizer>(key, ParseServeKey(key), cfg);
-}
-
 ServableSummarizer::ServableSummarizer(std::string key,
-                                       const std::string& inner_key,
+                                       std::unique_ptr<Summarizer> inner,
                                        const SummarizerConfig& cfg)
     : Summarizer(cfg),
       key_(std::move(key)),
-      inner_(MakeSummarizer(inner_key, cfg)),
+      inner_(std::move(inner)),
       service_(std::make_shared<QueryService>(
-          QueryService::Options{cfg.faults, cfg.telemetry})) {
+          QueryService::Options{cfg.faults})) {
   if (WindowedSummarizer* win = inner_->AsWindowed()) {
     // Ring advances republish the merged window; the hook keeps a strong
     // reference so the service survives even if this wrapper is destroyed
@@ -52,51 +27,18 @@ ServableSummarizer::ServableSummarizer(std::string key,
   }
 }
 
-void ServableSummarizer::Add(const WeightedKey& item) {
-  if (!AdmitWeight(item.weight)) return;
-  inner_->Add(item);
-}
-
-void ServableSummarizer::AddBatch(std::span<const WeightedKey> items) {
-  if (AllFinite(items)) {
-    CountAccepted(items.size());
-    inner_->AddBatch(items);
-    return;
-  }
-  for (const WeightedKey& it : items) Add(it);
-}
-
-void ServableSummarizer::AddCoords(const Coord* coords, int dims, Weight w) {
-  if (!AdmitWeight(w)) return;
-  inner_->AddCoords(coords, dims, w);
-}
-
-void ServableSummarizer::AddCoordsKeyed(KeyId id, const Coord* coords,
-                                        int dims, Weight w) {
-  if (!AdmitWeight(w)) return;
-  inner_->AddCoordsKeyed(id, coords, dims, w);
-}
-
 std::unique_ptr<RangeSummary> ServableSummarizer::Finalize() {
   std::unique_ptr<RangeSummary> summary = inner_->Finalize();
-  auto* sample_summary = dynamic_cast<SampleSummary*>(summary.get());
-  if (sample_summary == nullptr) {
-    throw std::invalid_argument(
-        "serve wrapper \"" + key_ + "\": inner summary \"" + summary->Name() +
-        "\" is not sample-backed — the serving tier snapshots samples; wrap "
-        "a sampling method (order/hierarchy/obliv/..., or a sharded:/"
-        "windowed: composition over one)");
-  }
-  service_->Publish(sample_summary->sample());
-  std::vector<double> probs = sample_summary->probs();
-  return std::make_unique<SampleSummary>(key_, sample_summary->TakeSample(),
+  SampleSummary& inner = InnerSample(*summary, key_);
+  service_->Publish(inner.sample());
+  std::vector<double> probs = inner.probs();
+  return std::make_unique<SampleSummary>(key_, inner.TakeSample(),
                                          std::move(probs));
 }
 
 bool ServableSummarizer::Reset(std::uint64_t seed) {
   if (!inner_->Reset(seed)) return false;
   cfg_.seed = seed;
-  stats_ = IngestStats{};
   return true;
 }
 

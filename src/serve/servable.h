@@ -16,11 +16,13 @@
 //   });
 //   builder->AsWindowed()->AddTimed(ts, item);        // ingest + republish
 //
-// Layering: the wrapper validates records at its own surface (the
-// IngestStats contract of composed wrappers) and forwards to the inner
-// builder; the inner method never knows it is being served. The windowed
-// republish rides the generic WindowedSummarizer::SetPublishHook — the
-// window layer has no serve dependency.
+// Layering: the wrapper is an ingest pass-through. Add, AddBatch,
+// AddCoords and AddCoordsKeyed forward unvalidated to the inner builder,
+// which validates and counts each record once, and Describe() reports the
+// inner builder's IngestStats. The inner method never knows it is being
+// served. The windowed republish rides the generic
+// WindowedSummarizer::SetPublishHook — the window layer has no serve
+// dependency.
 //
 // Capability rules: the wrapper is not Mergeable (serving is an outermost
 // concern — "sharded:2:serve:obliv" is rejected exactly like any other
@@ -40,34 +42,31 @@
 
 namespace sas {
 
-/// True when `key` starts with the serve prefix (it may still be
-/// malformed; ParseServeKey reports why).
-bool IsServeKey(const std::string& key);
-
-/// Parses "serve:<inner-key>" and returns the inner key. Throws
-/// std::invalid_argument on an empty inner key. Does not check that the
-/// inner key is registered — MakeSummarizer does.
-std::string ParseServeKey(const std::string& key);
-
-/// Factory used by MakeSummarizer for serve keys: parses the key and
-/// builds the inner summarizer eagerly (unknown/invalid inner keys throw
-/// std::invalid_argument from here). Sample-backedness of the inner
-/// *summary* is an instance property, checked at Finalize.
-std::unique_ptr<Summarizer> MakeServableSummarizer(
-    const std::string& key, const SummarizerConfig& cfg);
-
-/// The wrapper itself. Construct through MakeSummarizer; reach it via
-/// Summarizer::AsServable().
+/// The wrapper itself. Construct through MakeSummarizer, which parses the
+/// key and builds the inner builder (api/registry.cc); reach it via
+/// Summarizer::AsServable(). Sample-backedness of the inner *summary* is
+/// an instance property, checked at Finalize.
 class ServableSummarizer : public Summarizer {
  public:
-  ServableSummarizer(std::string key, const std::string& inner_key,
+  /// `key` is the composed key reported by the finalized summary's Name();
+  /// `inner` the builder it serves, made under the same `cfg`.
+  ServableSummarizer(std::string key, std::unique_ptr<Summarizer> inner,
                      const SummarizerConfig& cfg);
 
-  void Add(const WeightedKey& item) override;
-  void AddBatch(std::span<const WeightedKey> items) override;
-  void AddCoords(const Coord* coords, int dims, Weight w) override;
+  void Add(const WeightedKey& item) override { inner_->Add(item); }
+  void AddBatch(std::span<const WeightedKey> items) override {
+    inner_->AddBatch(items);
+  }
+  void AddCoords(const Coord* coords, int dims, Weight w) override {
+    inner_->AddCoords(coords, dims, w);
+  }
   void AddCoordsKeyed(KeyId id, const Coord* coords, int dims,
-                      Weight w) override;
+                      Weight w) override {
+    inner_->AddCoordsKeyed(id, coords, dims, w);
+  }
+
+  /// The inner builder's counters: the wrapper admits nothing itself.
+  const IngestStats& Describe() const override { return inner_->Describe(); }
 
   /// Finalizes the inner builder, publishes its sample to the service, and
   /// returns the summary under the composed key. Throws

@@ -108,6 +108,13 @@ class Hierarchy {
   std::vector<std::size_t> rank_of_key_;
 };
 
+/// Which Section 5 partition the two-pass hierarchy construction uses
+/// (aware/two_pass.h; SummarizerConfig::hierarchy_partition).
+enum class HierarchyPartition {
+  kLinearize,  // totally order keys by DFS rank; Delta < 2 w.h.p.
+  kAncestors,  // cells = lowest guide-selected ancestors; Delta < 1 w.h.p.
+};
+
 }  // namespace sas
 
 #endif  // SAS_STRUCTURE_HIERARCHY_H_

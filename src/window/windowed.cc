@@ -1,12 +1,9 @@
 #include "window/windowed.h"
 
 #include <cmath>
-#include <cstdio>
 #include <stdexcept>
 #include <utility>
 
-#include "api/keys.h"
-#include "api/registry.h"
 #include "core/fault.h"
 #include "core/telemetry.h"
 
@@ -14,7 +11,6 @@ namespace sas {
 
 namespace {
 
-constexpr int kMaxBuckets = 4096;
 /// Spent inner builders kept around for Reset recycling. One builder is
 /// live at a time (seal or query rebuild), so a small cap suffices.
 constexpr std::size_t kMaxFreeBuilders = 2;
@@ -24,119 +20,24 @@ constexpr std::size_t kMaxFreeBuilders = 2;
 constexpr std::uint64_t kBucketSeedTag = 0x5EA1B0C4E7B0C4E7ULL;
 constexpr std::uint64_t kMergeSeedTag = 0x3E6E5A1AD3A9F0B5ULL;
 
-/// Rough bytes one retained sample entry costs (entry + reservoir
-/// bookkeeping); the same coarse constant the sharded wrapper budgets with.
-constexpr std::size_t kBytesPerSampleEntry = 64;
-
-[[noreturn]] void BadKey(const std::string& key, const std::string& why) {
-  throw std::invalid_argument("MakeSummarizer(\"" + key + "\"): " + why);
-}
-
-/// True for a non-empty string of digits with at most one interior '.'
-/// (the restricted decimal grammar of the <W> field).
-bool IsDecimalNumber(const std::string& s) {
-  if (s.empty()) return false;
-  bool seen_dot = false, seen_digit = false;
-  for (char c : s) {
-    if (c == '.') {
-      if (seen_dot) return false;
-      seen_dot = true;
-    } else if (c >= '0' && c <= '9') {
-      seen_digit = true;
-    } else {
-      return false;
-    }
-  }
-  return seen_digit;
-}
-
 }  // namespace
-
-bool IsWindowedKey(const std::string& key) {
-  return key.rfind(keys::kWindowedPrefix, 0) == 0;
-}
-
-WindowedKeySpec ParseWindowedKey(const std::string& key) {
-  if (!IsWindowedKey(key)) {
-    BadKey(key,
-           "not a windowed key (expected \"windowed:<W>:<B>:<inner-key>\")");
-  }
-  const std::size_t w_begin = std::string(keys::kWindowedPrefix).size();
-  const std::size_t w_end = key.find(':', w_begin);
-  if (w_end == std::string::npos) {
-    BadKey(key, "missing bucket count and inner key (expected "
-                "\"windowed:<W>:<B>:<inner-key>\")");
-  }
-  const std::size_t b_begin = w_end + 1;
-  const std::size_t b_end = key.find(':', b_begin);
-  if (b_end == std::string::npos) {
-    BadKey(key, "missing inner key (expected "
-                "\"windowed:<W>:<B>:<inner-key>\")");
-  }
-
-  const std::string w_str = key.substr(w_begin, w_end - w_begin);
-  if (!IsDecimalNumber(w_str)) {
-    BadKey(key, "window span \"" + w_str + "\" is not a positive number");
-  }
-  double window = 0.0;
-  try {
-    window = std::stod(w_str);
-  } catch (const std::out_of_range&) {
-    window = 0.0;  // over-/underflowing spans fail the positivity check
-  }
-  if (!(window > 0.0) || !std::isfinite(window)) {
-    BadKey(key, "window span must be positive and finite, got \"" + w_str +
-                    "\"");
-  }
-
-  const std::string b_str = key.substr(b_begin, b_end - b_begin);
-  if (b_str.empty() ||
-      b_str.find_first_not_of("0123456789") != std::string::npos) {
-    BadKey(key, "bucket count \"" + b_str + "\" is not a positive integer");
-  }
-  long buckets = 0;
-  try {
-    buckets = std::stol(b_str);
-  } catch (const std::out_of_range&) {
-    buckets = kMaxBuckets + 1L;
-  }
-  if (buckets < 1 || buckets > kMaxBuckets) {
-    BadKey(key, "bucket count must be in [1, " + std::to_string(kMaxBuckets) +
-                    "], got \"" + b_str + "\"");
-  }
-
-  WindowedKeySpec spec;
-  spec.window = window;
-  spec.buckets = static_cast<int>(buckets);
-  spec.inner = key.substr(b_end + 1);
-  if (spec.inner.empty()) {
-    BadKey(key,
-           "empty inner key (expected \"windowed:<W>:<B>:<inner-key>\")");
-  }
-  return spec;
-}
 
 // ---------------------------------------------------------------------------
 
-WindowedSummarizer::WindowedSummarizer(std::string key,
-                                       const WindowedKeySpec& spec,
-                                       const SummarizerConfig& cfg)
-    : Summarizer(cfg), key_(std::move(key)), inner_key_(spec.inner) {
-  if (cfg.s < 1.0) {
-    BadKey(key_, "summary size s must be >= 1 for the windowed wrapper "
-                 "(the merged window budget is integral)");
-  }
-  window_ = spec.window;
-  span_ = window_ / static_cast<double>(spec.buckets);
-  if (!(span_ > 0.0)) {
-    BadKey(key_, "window span / bucket count underflows to a zero-length "
-                 "bucket");
-  }
+WindowedSummarizer::WindowedSummarizer(std::string key, double window,
+                                       int buckets,
+                                       const SummarizerConfig& cfg,
+                                       InnerBuilders inner)
+    : Summarizer(cfg),
+      key_(std::move(key)),
+      inner_(std::move(inner)),
+      window_(window),
+      span_(window / static_cast<double>(buckets)) {
   bucket_seed_base_ = Mix64(cfg.seed ^ kBucketSeedTag);
   merge_seed_base_ = Mix64(cfg.seed ^ kMergeSeedTag);
   effective_s_ = cfg.s;
   free_builder_s_ = cfg.s;
-  ring_.resize(static_cast<std::size_t>(spec.buckets));
+  ring_.resize(static_cast<std::size_t>(buckets));
   // Cold registry lookups; the hot paths only touch the cached pointers.
   seal_ns_ = telemetry::GetHistogram("sas.window.seal_ns");
   bucket_items_ = telemetry::GetHistogram("sas.window.bucket_items");
@@ -146,15 +47,10 @@ WindowedSummarizer::WindowedSummarizer(std::string key,
   cache_hits_ = telemetry::GetCounter("sas.window.cache_hits");
   cache_misses_ = telemetry::GetCounter("sas.window.cache_misses");
 
-  // Probe the inner method eagerly: unknown keys, invalid configs, and
-  // non-mergeable methods must throw at MakeSummarizer time, not at the
-  // first bucket seal.
+  // Probe the inner method eagerly: invalid configs and non-mergeable
+  // methods must throw at MakeSummarizer time, not at the first bucket
+  // seal.
   auto probe = AcquireInner(/*epoch=*/0);
-  if (!probe->Mergeable()) {
-    BadKey(key_, "inner method \"" + inner_key_ +
-                     "\" is not mergeable (its summary is not a "
-                     "partition-tolerant VarOpt sample)");
-  }
   // Probe the Reset capability too (a no-op on the fresh builder): a
   // recyclable probe seeds the free list, a non-recyclable one — e.g. a
   // sharded inner with its worker pool — is destroyed right away rather
@@ -226,17 +122,7 @@ std::unique_ptr<Summarizer> WindowedSummarizer::AcquireInner(
     inner_recyclable_ = false;
     free_builders_.clear();
   }
-  SummarizerConfig inner_cfg = cfg_;
-  inner_cfg.seed = seed;
-  inner_cfg.s = effective_s_;
-  // The wrapper already budgets the whole ring; the inner build must not
-  // degrade again on its own.
-  inner_cfg.max_bytes = 0;
-  // Items reaching a bucket builder were already admitted (and counted into
-  // telemetry) at this wrapper's ingest boundary; a telemetry-on inner
-  // builder would mirror every item into sas.ingest.* a second time.
-  inner_cfg.telemetry = false;
-  return MakeSummarizer(inner_key_, inner_cfg);
+  return inner_.Make(cfg_, seed, effective_s_);
 }
 
 void WindowedSummarizer::ReleaseInner(std::unique_ptr<Summarizer> spent) {
@@ -253,22 +139,8 @@ void WindowedSummarizer::MaybeDegrade() {
   }
   // The ring retains one expected-size-s sample per live sealed bucket
   // plus the one about to be built.
-  const auto estimate = [&](double s) {
-    return (live_sealed + 1) * static_cast<std::size_t>(s) *
-           kBytesPerSampleEntry;
-  };
-  const double before = effective_s_;
-  while (estimate(effective_s_) > cfg_.max_bytes && effective_s_ >= 2.0) {
-    effective_s_ = effective_s_ / 2.0;
-    CountDegradation();
-  }
-  if (effective_s_ != before) {
-    std::fprintf(stderr,
-                 "sas: %s: max_bytes=%zu: degraded bucket s %g -> %g "
-                 "(%zu live buckets)\n",
-                 key_.c_str(), cfg_.max_bytes, before, effective_s_,
-                 live_sealed + 1);
-  }
+  CountDegradation(HalveToBudget(key_, &effective_s_, live_sealed + 1,
+                                 cfg_.max_bytes));
 }
 
 Sample WindowedSummarizer::BuildBucketSample(
@@ -277,14 +149,7 @@ Sample WindowedSummarizer::BuildBucketSample(
   auto builder = AcquireInner(epoch);
   builder->AddBatch(items);
   auto summary = builder->Finalize();
-  auto* sample = dynamic_cast<SampleSummary*>(summary.get());
-  if (sample == nullptr) {
-    // Mergeable() promised a sample-backed summary; a custom method that
-    // lies about the capability is a programming error.
-    throw std::logic_error("windowed wrapper: inner summary \"" +
-                           summary->Name() + "\" is not sample-backed");
-  }
-  Sample out = sample->TakeSample();
+  Sample out = InnerSample(*summary, key_).TakeSample();
   ReleaseInner(std::move(builder));
   return out;
 }
@@ -302,9 +167,8 @@ void WindowedSummarizer::SealCurrentBucket(std::int64_t next_epoch) {
   try {
     FaultPoint(cfg_.faults.get(), fault_sites::kWindowBucketSeal,
                cur_epoch_);
-    const bool telemetry_on = TelemetryOn();
-    if (telemetry_on) bucket_items_->Observe(cur_items_.size());
-    telemetry::Span seal_span("window.seal", seal_ns_, telemetry_on);
+    if (telemetry::Enabled()) bucket_items_->Observe(cur_items_.size());
+    telemetry::Span seal_span("window.seal", seal_ns_);
     slot.epoch = cur_epoch_;
     slot.sample = BuildBucketSample(cur_epoch_, cur_items_);
     // sas-lint: allow(catch-all): a failed seal leaves the slot and buffer
@@ -326,7 +190,7 @@ void WindowedSummarizer::RetireExpired(std::int64_t current_epoch) {
       ++expired;
     }
   }
-  if (expired > 0 && TelemetryOn()) expired_buckets_->Inc(expired);
+  if (expired > 0 && telemetry::Enabled()) expired_buckets_->Inc(expired);
 }
 
 void WindowedSummarizer::Advance(double now) {
@@ -401,7 +265,7 @@ void WindowedSummarizer::AddTimed(double ts, const WeightedKey& item) {
 }
 
 const Sample& WindowedSummarizer::MergedWindow() {
-  const bool telemetry_on = TelemetryOn();
+  const bool telemetry_on = telemetry::Enabled();
   if (cache_valid_) {
     if (telemetry_on) cache_hits_->Inc();
     return cached_window_;
@@ -451,7 +315,7 @@ const Sample& WindowedSummarizer::MergedWindow() {
 
 const Sample& WindowedSummarizer::QueryAt(double now) {
   RequireLive("QueryAt");
-  telemetry::Span query_span("window.query", query_ns_, TelemetryOn());
+  telemetry::Span query_span("window.query", query_ns_);
   Advance(now);
   return MergedWindow();
 }
@@ -488,12 +352,6 @@ bool WindowedSummarizer::Reset(std::uint64_t seed) {
   // bucket anyway, and a stale effective_s_ is caught by the
   // free_builder_s_ check there.
   return true;
-}
-
-std::unique_ptr<Summarizer> MakeWindowedSummarizer(
-    const std::string& key, const SummarizerConfig& cfg) {
-  const WindowedKeySpec spec = ParseWindowedKey(key);
-  return std::make_unique<WindowedSummarizer>(key, spec, cfg);
 }
 
 }  // namespace sas

@@ -1,9 +1,10 @@
 // Time-windowed streaming behind the registry: the composed key
 // "windowed:<W>:<B>:<inner-key>" maintains a sliding window of the last W
 // time units as a ring of B time buckets, each summarized by an
-// <inner-key> summarizer built through the registry. Ingest is timestamped;
-// a query merges the live buckets' VarOpt samples (core/merge.h) into one
-// sample of expected size cfg.s covering the window:
+// <inner-key> summarizer made by the composition layer (api/compose.h).
+// Ingest is timestamped; a query merges the live buckets' VarOpt samples
+// (core/merge.h) into one sample of expected size cfg.s covering the
+// window:
 //
 //   auto builder = MakeSummarizer("windowed:3600:60:obliv", cfg);
 //   auto* win = builder->AsWindowed();
@@ -24,7 +25,7 @@
 // Bucket rebuilds: the current bucket buffers raw items; it is built into a
 // sample when it seals (time advances past its epoch) and, on demand, when
 // a query arrives mid-epoch. Spent inner builders are recycled through the
-// Summarizer::Reset capability (falling back to a fresh MakeSummarizer for
+// Summarizer::Reset capability (falling back to a fresh inner builder for
 // methods that do not support it), and the merge reuses one MergeScratch,
 // so steady-state window maintenance allocates only the output samples.
 //
@@ -49,6 +50,7 @@
 #include <string>
 #include <vector>
 
+#include "api/compose.h"
 #include "api/summarizer.h"
 #include "api/summary.h"
 #include "core/merge.h"
@@ -62,37 +64,17 @@ class Counter;
 class Histogram;
 }  // namespace telemetry
 
-/// Parsed form of a composed "windowed:<W>:<B>:<inner-key>" key.
-struct WindowedKeySpec {
-  double window = 0.0;  // W: window span in time units
-  int buckets = 0;      // B: ring size
-  std::string inner;
-};
-
-/// True when `key` starts with the windowed prefix (it may still be
-/// malformed; ParseWindowedKey reports why).
-bool IsWindowedKey(const std::string& key);
-
-/// Parses "windowed:<W>:<B>:<inner-key>". W is a positive decimal number
-/// (time units are the caller's; "60", "2.5"); B is an integer in
-/// [1, 4096]. Throws std::invalid_argument with a specific reason for
-/// malformed keys. Does not check that the inner key is registered —
-/// MakeSummarizer does.
-WindowedKeySpec ParseWindowedKey(const std::string& key);
-
-/// Factory used by MakeSummarizer for windowed keys: parses the key,
-/// validates the inner method eagerly (unknown/invalid/non-mergeable inner
-/// keys throw std::invalid_argument).
-std::unique_ptr<Summarizer> MakeWindowedSummarizer(const std::string& key,
-                                                   const SummarizerConfig& cfg);
-
-/// The wrapper itself. Construct through MakeSummarizer; exposed for tests
-/// and for the timestamped surface (reach it via Summarizer::AsWindowed).
+/// The wrapper itself. Construct through MakeSummarizer, which parses the
+/// key (api/registry.cc); exposed for tests and for the timestamped surface
+/// (reach it via Summarizer::AsWindowed).
 class WindowedSummarizer : public Summarizer {
  public:
-  /// `key` is the composed key reported by the finalized summary's Name().
-  WindowedSummarizer(std::string key, const WindowedKeySpec& spec,
-                     const SummarizerConfig& cfg);
+  /// `key` is the composed key reported by the finalized summary's Name();
+  /// `window` and `buckets` its parsed W (positive, finite, with W/B > 0)
+  /// and B. Probes one inner builder eagerly, so an inner method that
+  /// cannot be made or is not Mergeable throws std::invalid_argument here.
+  WindowedSummarizer(std::string key, double window, int buckets,
+                     const SummarizerConfig& cfg, InnerBuilders inner);
 
   // --- Generic builder surface (untimed: ingests at the current clock) ---
 
@@ -208,7 +190,7 @@ class WindowedSummarizer : public Summarizer {
   const Sample& MergedWindow();
 
   std::string key_;
-  std::string inner_key_;
+  InnerBuilders inner_;
   double window_ = 0.0;
   double span_ = 0.0;
   std::uint64_t bucket_seed_base_ = 0;
@@ -246,7 +228,7 @@ class WindowedSummarizer : public Summarizer {
   std::size_t recycled_builders_ = 0;
 
   // Telemetry instruments (core/telemetry.h), resolved once at
-  // construction; hot-path updates are guarded by TelemetryOn().
+  // construction; hot-path updates are guarded by telemetry::Enabled().
   telemetry::Histogram* seal_ns_ = nullptr;
   telemetry::Histogram* bucket_items_ = nullptr;
   telemetry::Histogram* merge_fanin_ = nullptr;

@@ -43,13 +43,20 @@ std::unique_ptr<RangeSummary> Build(const std::string& key,
 }
 
 TEST(ShardedKey, ParsesWellFormedKeys) {
-  const ShardedKeySpec spec = ParseShardedKey("sharded:4:obliv");
-  EXPECT_EQ(spec.shards, 4);
-  EXPECT_EQ(spec.inner, "obliv");
-  // Nested composition parses one level at a time.
-  const ShardedKeySpec nested = ParseShardedKey("sharded:2:sharded:3:aware");
-  EXPECT_EQ(nested.shards, 2);
-  EXPECT_EQ(nested.inner, "sharded:3:aware");
+  SummarizerConfig cfg;
+  cfg.s = 50.0;
+  auto builder = MakeSummarizer("sharded:4:obliv", cfg);
+  auto* sharded = dynamic_cast<ShardedSummarizer*>(builder.get());
+  ASSERT_NE(sharded, nullptr);
+  EXPECT_EQ(sharded->num_shards(), 4);
+  // The outer layer of a nested composition takes its own count; the
+  // inner key is built whole.
+  auto nested = MakeSummarizer("sharded:2:sharded:3:aware", cfg);
+  auto* outer = dynamic_cast<ShardedSummarizer*>(nested.get());
+  ASSERT_NE(outer, nullptr);
+  EXPECT_EQ(outer->num_shards(), 2);
+  nested->Add({1, 1.0, {1, 1}});
+  EXPECT_EQ(nested->Finalize()->Name(), "sharded:2:sharded:3:aware");
 }
 
 TEST(ShardedKey, MalformedKeysThrow) {
@@ -81,8 +88,6 @@ TEST(ShardedKey, NonMergeableInnerRejected) {
 }
 
 TEST(ShardedKey, RegisteredWhenInnerIs) {
-  EXPECT_TRUE(IsShardedKey("sharded:4:obliv"));
-  EXPECT_FALSE(IsShardedKey("obliv"));
   EXPECT_TRUE(IsRegisteredSummarizer("sharded:4:obliv"));
   EXPECT_TRUE(IsRegisteredSummarizer("sharded:2:sharded:2:product"));
   EXPECT_FALSE(IsRegisteredSummarizer("sharded:2:nope"));

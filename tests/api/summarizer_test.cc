@@ -15,6 +15,7 @@
 #include "summaries/exact_summary.h"
 #include "summaries/wavelet2d.h"
 #include "test_util.h"
+#include "window/windowed.h"
 
 namespace sas {
 namespace {
@@ -143,27 +144,50 @@ TEST(Summarizer, TwoPassBuildersGiveExactSizes) {
   }
 }
 
-TEST(AwareBuilder, AddAfterFinalizeThrows) {
-  // The two-pass sampler releases its pass-1 state at Finalize, so a
-  // finalized aware builder is spent: Add and AddBatch must fail fast
-  // instead of dereferencing the released state.
+TEST(AwareBuilder, ResetBuilderEqualsFreshBuilder) {
+  // "aware" buffers its input and runs both passes at Finalize, so it
+  // recycles like the other buffering builders: a Reset builder is
+  // bit-identical to a fresh one under the same seed.
+  Rng rng(17);
+  const auto first = RandomItems(3000, 1 << 12, &rng);
+  const auto second = RandomItems(4000, 1 << 12, &rng);
   SummarizerConfig cfg;
-  cfg.s = 10.0;
-  auto builder = MakeSummarizer(keys::kAware, cfg);
-  builder->Add({0, 1.0, {0, 0}});
-  (void)builder->Finalize();
-  EXPECT_THROW(builder->Add({1, 1.0, {1, 0}}), std::logic_error);
-  const std::vector<WeightedKey> batch = {{2, 1.0, {2, 0}}};
-  EXPECT_THROW(builder->AddBatch(batch), std::logic_error);
+  cfg.s = 60.0;
+  cfg.seed = 3;
+  auto recycled = MakeSummarizer(keys::kAware, cfg);
+  recycled->AddBatch(first);
+  (void)recycled->Finalize();
+  ASSERT_TRUE(recycled->Reset(99));
+  recycled->AddBatch(second);
+  const auto a = recycled->Finalize();
+
+  cfg.seed = 99;
+  auto fresh = MakeSummarizer(keys::kAware, cfg);
+  fresh->AddBatch(second);
+  const auto b = fresh->Finalize();
+  const Sample& sa = a->AsSample()->sample();
+  const Sample& sb = b->AsSample()->sample();
+  EXPECT_EQ(sa.tau(), sb.tau());
+  ASSERT_EQ(sa.size(), sb.size());
+  for (std::size_t i = 0; i < sa.size(); ++i) {
+    EXPECT_EQ(sa.entries()[i].id, sb.entries()[i].id) << i;
+    EXPECT_EQ(sa.entries()[i].weight, sb.entries()[i].weight) << i;
+  }
 }
 
-TEST(AwareBuilder, FinalizeAfterFinalizeThrows) {
+TEST(AwareBuilder, WindowedRingRecyclesAwareBuckets) {
+  Rng rng(18);
+  const auto items = RandomItems(2000, 1 << 12, &rng);
   SummarizerConfig cfg;
-  cfg.s = 10.0;
-  auto builder = MakeSummarizer(keys::kAware, cfg);
-  builder->Add({0, 1.0, {0, 0}});
-  (void)builder->Finalize();
-  EXPECT_THROW(builder->Finalize(), std::logic_error);
+  cfg.s = 40.0;
+  auto builder = MakeSummarizer("windowed:10:4:aware", cfg);
+  WindowedSummarizer* win = builder->AsWindowed();
+  ASSERT_NE(win, nullptr);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    win->AddTimed(static_cast<double>(i % 10), items[i]);
+  }
+  (void)win->QueryAt(10.0);
+  EXPECT_GT(win->recycled_builders(), 0u);
 }
 
 TEST(Summarizer, AddCoordsOnlySupportedByNd) {

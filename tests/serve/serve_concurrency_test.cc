@@ -189,11 +189,6 @@ TEST(QueryService, ConcurrentReadersSeeOnlyConsistentSnapshots) {
 }
 
 TEST(Servable, ServeKeyParsesAndRegisters) {
-  EXPECT_TRUE(IsServeKey("serve:obliv"));
-  EXPECT_FALSE(IsServeKey("obliv"));
-  EXPECT_EQ(ParseServeKey("serve:windowed:10:2:obliv"), "windowed:10:2:obliv");
-  EXPECT_THROW(ParseServeKey("serve:"), std::invalid_argument);
-
   EXPECT_TRUE(IsRegisteredSummarizer("serve:obliv"));
   EXPECT_TRUE(IsRegisteredSummarizer("serve:sharded:2:obliv"));
   EXPECT_FALSE(IsRegisteredSummarizer("serve:"));

@@ -65,20 +65,25 @@ std::vector<double> SpreadTimestamps(std::size_t n, double horizon) {
 }
 
 TEST(WindowedKey, ParsesWellFormedKeys) {
-  const WindowedKeySpec spec = ParseWindowedKey("windowed:3600:60:obliv");
-  EXPECT_DOUBLE_EQ(spec.window, 3600.0);
-  EXPECT_EQ(spec.buckets, 60);
-  EXPECT_EQ(spec.inner, "obliv");
+  SummarizerConfig cfg;
+  cfg.s = 16.0;
+  const WindowedBuild plain = MakeWindowed("windowed:3600:60:obliv", cfg);
+  EXPECT_DOUBLE_EQ(plain.win->window(), 3600.0);
+  EXPECT_EQ(plain.win->buckets(), 60);
 
-  // Decimal window spans and composed inner keys parse.
-  const WindowedKeySpec decimal = ParseWindowedKey("windowed:2.5:5:product");
-  EXPECT_DOUBLE_EQ(decimal.window, 2.5);
-  const WindowedKeySpec nested =
-      ParseWindowedKey("windowed:60:4:sharded:2:obliv");
-  EXPECT_EQ(nested.inner, "sharded:2:obliv");
-  const WindowedKeySpec windowed_in_windowed =
-      ParseWindowedKey("windowed:60:4:windowed:10:2:obliv");
-  EXPECT_EQ(windowed_in_windowed.inner, "windowed:10:2:obliv");
+  // Decimal window spans and composed inner keys parse; the outer layer
+  // takes its own fields.
+  const WindowedBuild decimal = MakeWindowed("windowed:2.5:5:product", cfg);
+  EXPECT_DOUBLE_EQ(decimal.win->window(), 2.5);
+  EXPECT_EQ(decimal.win->buckets(), 5);
+  for (const char* key :
+       {"windowed:60:4:sharded:2:obliv", "windowed:60:4:windowed:10:2:obliv"}) {
+    const WindowedBuild nested = MakeWindowed(key, cfg);
+    EXPECT_DOUBLE_EQ(nested.win->window(), 60.0) << key;
+    EXPECT_EQ(nested.win->buckets(), 4) << key;
+    nested.builder->Add({1, 1.0, {1, 1}});
+    EXPECT_EQ(nested.builder->Finalize()->Name(), key);
+  }
 }
 
 TEST(WindowedKey, MalformedKeysThrow) {
@@ -106,8 +111,6 @@ TEST(WindowedKey, MalformedKeysThrow) {
 }
 
 TEST(WindowedKey, RegisteredWhenInnerIs) {
-  EXPECT_TRUE(IsWindowedKey("windowed:60:4:obliv"));
-  EXPECT_FALSE(IsWindowedKey("obliv"));
   EXPECT_TRUE(IsRegisteredSummarizer("windowed:60:4:obliv"));
   // The composed wrappers nest in either order.
   EXPECT_TRUE(IsRegisteredSummarizer("windowed:60:4:sharded:2:obliv"));
@@ -526,8 +529,10 @@ TEST(Windowed, RecycledBuilderMatchesFreshBuilder) {
   // Methods without the capability report false from Reset.
   SummarizerConfig cfg;
   cfg.s = 100.0;
-  auto aware = MakeSummarizer("aware", cfg);
-  EXPECT_FALSE(aware->Reset(1));
+  cfg.bits_x = 12;
+  cfg.bits_y = 12;
+  auto sketch = MakeSummarizer("sketch", cfg);
+  EXPECT_FALSE(sketch->Reset(1));
 }
 
 TEST(Windowed, ComposesWithShardedInEitherOrder) {
