@@ -146,28 +146,6 @@ void BM_SummaryQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_SummaryQuery)->Arg(1 << 10)->Arg(1 << 14);
 
-/// The O(log s) prefix-difference subset estimate (re-associated ulp-level
-/// variant) — the flat-cost path for id-range drilldowns.
-void BM_ServeIdRangeFast(benchmark::State& state) {
-  const std::size_t s = static_cast<std::size_t>(state.range(0));
-  const Sample sample = ParetoSample(s, 74);
-  const ServingSnapshot snap(sample);
-  Rng rng(75);
-  std::vector<std::pair<KeyId, KeyId>> ranges(256);
-  for (auto& r : ranges) {
-    const KeyId a = static_cast<KeyId>(rng.NextBounded(1u << 24));
-    const KeyId b = static_cast<KeyId>(rng.NextBounded(1u << 24));
-    r = {std::min(a, b), std::max(a, b)};
-  }
-  std::size_t i = 0;
-  for (auto _ : state) {
-    const auto& r = ranges[i++ % ranges.size()];
-    benchmark::DoNotOptimize(snap.EstimateIdRangeFast(r.first, r.second));
-  }
-  state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_ServeIdRangeFast)->Arg(1 << 10)->Arg(1 << 14);
-
 /// One sample-proportional entry draw — the Vose alias table's O(1)
 /// promise (one bounded draw, one uniform, one comparison).
 void BM_AliasDraw(benchmark::State& state) {

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "api/registry.h"
-#include "core/merge.h"
+#include "aware/merge.h"
 #include "core/random.h"
 #include "sampling/stream_varopt.h"
 #include "sampling/varopt_offline.h"
@@ -37,9 +37,11 @@ void BM_MergeSamples(benchmark::State& state) {
                                         items.end());
   const Sample a = VarOptOffline(half_a, static_cast<double>(s), &rng);
   const Sample b = VarOptOffline(half_b, static_cast<double>(s), &rng);
+  const Sample* parts[] = {&a, &b};
   for (auto _ : state) {
     Rng merge_rng(state.iterations());
-    benchmark::DoNotOptimize(MergeSamples(a, b, s, &merge_rng));
+    MergeScratch scratch;  // cold buffers, as a one-off merge pays them
+    benchmark::DoNotOptimize(MergeSamples(parts, s, &merge_rng, &scratch));
   }
   // One "item" = one merged input entry.
   state.SetItemsProcessed(state.iterations() * (a.size() + b.size()));

@@ -137,6 +137,8 @@ class AwareBuilder : public BufferingSummarizer {
         return AwareStructure::Disjoint(spec.range_of, spec.num_ranges);
       case AwareStructure::Kind::kKd:
         return AwareStructure::Kd(items_);
+      case AwareStructure::Kind::kShuffled:
+        return AwareStructure::Shuffled();
     }
     return AwareStructure::Order(items_);
   }
@@ -154,6 +156,7 @@ class AwareBuilder : public BufferingSummarizer {
       case AwareStructure::Kind::kKd:
         return TwoPassProductSample(items_, cfg_.s, tp, rng);
       case AwareStructure::Kind::kOrder:
+      case AwareStructure::Kind::kShuffled:
         break;
     }
     return TwoPassOrderSample(items_, cfg_.s, tp, rng);

@@ -6,8 +6,8 @@
 #include <utility>
 
 #include "api/summary.h"
+#include "aware/merge.h"
 #include "core/fault.h"
-#include "core/merge.h"
 #include "core/random.h"
 #include "core/telemetry.h"
 
@@ -142,12 +142,13 @@ ShardedSummarizer::ShardedSummarizer(std::string key, int num_shards,
     sh->pending.items.reserve(kBatchSize);
     shards_.push_back(std::move(sh));
   }
-  SpawnWorkers();
 }
 
 ShardedSummarizer::~ShardedSummarizer() { CloseAndJoin(); }
 
 void ShardedSummarizer::SpawnWorkers() {
+  if (spawned_) return;
+  spawned_ = true;
   try {
     for (auto& sh : shards_) {
       sh->worker = std::thread(&ShardedSummarizer::WorkerLoop, this,
@@ -227,9 +228,11 @@ void ShardedSummarizer::FlushPending(Shard& sh) {
 void ShardedSummarizer::Enqueue(Shard& sh, Batch batch) {
   // shard.queue.push fires only on producer-path pushes, not on the final
   // flush inside CloseAndJoin — a throw there would escape Finalize (or
-  // the destructor) after teardown already began.
+  // the destructor) after teardown already began. The first producer-path
+  // push starts the worker pool.
   if (!joined_) {
     FaultPoint(cfg_.faults.get(), fault_sites::kShardQueuePush, sh.index);
+    SpawnWorkers();
   }
   std::unique_lock<std::mutex> lock(sh.mu);
   const auto can_proceed = [&] {
@@ -324,6 +327,7 @@ void ShardedSummarizer::RecordWorkerError(Shard* sh,
 void ShardedSummarizer::CloseAndJoin() {
   if (joined_) return;
   joined_ = true;
+  if (!spawned_) return;  // nothing was handed off: no workers to join
   for (auto& sh : shards_) FlushPending(*sh);
   for (auto& sh : shards_) {
     std::lock_guard<std::mutex> lock(sh->mu);
@@ -345,6 +349,7 @@ std::unique_ptr<RangeSummary> ShardedSummarizer::Finalize() {
         "sharded summarizer: Finalize after Finalize (the builder already "
         "produced its summary; Reset(seed) to build another)");
   }
+  SpawnWorkers();  // a build that handed nothing off still finalizes
   CloseAndJoin();
   std::vector<ShardFailure> failures;
   for (auto& sh : shards_) {
@@ -357,16 +362,19 @@ std::unique_ptr<RangeSummary> ShardedSummarizer::Finalize() {
   }
 
   std::vector<Sample> parts;
+  std::vector<const Sample*> part_ptrs;
   parts.reserve(shards_.size());
   for (auto& sh : shards_) {
     // We own the result: move the sample out, not copy.
     parts.push_back(InnerSample(*sh->result, key_).TakeSample());
   }
+  for (const Sample& part : parts) part_ptrs.push_back(&part);
 
   Rng merge_rng(ForkSeed(cfg_.seed, shards_.size()));
   telemetry::Span merge_span("shard.merge", merge_ns_);
-  Sample merged =
-      MergeAllSamples(parts, static_cast<std::size_t>(cfg_.s), &merge_rng);
+  MergeScratch scratch;
+  Sample merged = MergeSamples(part_ptrs, static_cast<std::size_t>(cfg_.s),
+                               &merge_rng, &scratch);
   finalized_ = true;
   return std::make_unique<SampleSummary>(key_, std::move(merged));
 }
@@ -398,7 +406,7 @@ bool ShardedSummarizer::Reset(std::uint64_t seed) {
   poisoned_.store(false, std::memory_order_release);
   joined_ = false;
   finalized_ = false;
-  SpawnWorkers();
+  spawned_ = false;
   return true;
 }
 

@@ -1,7 +1,7 @@
 // Shard-parallel ingest behind the registry: the composed key
 // "sharded:<N>:<inner-key>" wraps N independent <inner-key> summarizers,
 // hash-partitions the stream across them by key id, feeds each from its own
-// worker thread, and VarOpt-merges the N shard samples (core/merge.h) into
+// worker thread, and VarOpt-merges the N shard samples (aware/merge.h) into
 // one summary at Finalize. Because it hides behind the uniform
 // Add/AddBatch/Finalize surface, every mergeable sample-backed method gains
 // a parallel backend with zero call-site changes:
@@ -82,9 +82,11 @@ class ShardedSummarizer : public Summarizer {
  public:
   /// `key` is the composed key reported by the finalized summary's Name();
   /// `num_shards` its parsed N. Builds shard i's inner builder under
-  /// ForkSeed(cfg.seed, i) at the max_bytes-halved s, then spawns one
-  /// worker thread per shard. Throws std::invalid_argument if an inner
-  /// builder cannot be made or is not Mergeable.
+  /// ForkSeed(cfg.seed, i) at the max_bytes-halved s. The one worker
+  /// thread per shard starts at the first hand-off of a batch to a shard,
+  /// or in Finalize if nothing was handed off, so an idle builder holds no
+  /// threads. Throws std::invalid_argument if an inner builder cannot be
+  /// made or is not Mergeable.
   ShardedSummarizer(std::string key, int num_shards,
                     const SummarizerConfig& cfg, InnerBuilders inner);
   ~ShardedSummarizer() override;
@@ -118,9 +120,10 @@ class ShardedSummarizer : public Summarizer {
 
   /// Full recovery, including from the poisoned and finalized states:
   /// joins any workers, resets every inner builder under ForkSeed(seed, i),
-  /// clears errors/results/counters, and respawns the worker pool. After a
-  /// successful Reset the builder is bit-identical to a freshly constructed
-  /// one with cfg.seed = seed. Returns false (leaving the builder spent)
+  /// and clears errors/results/counters; the worker pool starts again on
+  /// the next hand-off, as in a fresh builder. After a successful Reset the
+  /// builder is bit-identical to a freshly constructed one with
+  /// cfg.seed = seed. Returns false (leaving the builder spent)
   /// when the inner method is not recyclable.
   bool Reset(std::uint64_t seed) override;
 
@@ -151,6 +154,7 @@ class ShardedSummarizer : public Summarizer {
   std::uint64_t salt_ = 0;  // partition-hash salt derived from cfg.seed
   std::vector<std::unique_ptr<Shard>> shards_;
   KeyId next_coord_id_ = 0;  // global ids handed out by AddCoords
+  bool spawned_ = false;  // the worker pool was started
   bool joined_ = false;
   bool finalized_ = false;  // a summary was produced; Finalize re-entry throws
   std::uint32_t degrade_steps_ = 0;  // max_bytes halvings of the inner s

@@ -205,7 +205,7 @@ class Summarizer {
 
   /// Mergeable capability: true when (a) Finalize() produces a sample-backed
   /// summary whose Sample can be combined with others via MergeSamples
-  /// (core/merge.h), and (b) the method's semantics survive feeding it an
+  /// (aware/merge.h), and (b) the method's semantics survive feeding it an
   /// arbitrary subset of the input (so a hash-partitioned shard sees a valid
   /// input). Methods with positional config (hierarchy/disjoint, whose
   /// structure descriptors index "the i-th item added") and the

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cassert>
 #include <cstdint>
+#include <numeric>
+#include <utility>
 
 #include "core/ipps.h"
 #include "core/telemetry.h"
@@ -62,11 +64,16 @@ void AwareSummarizeInto(const std::vector<Weight>& weights,
   }
   telemetry::Span span("build.aggregate", aggregate_ns);
   const std::vector<double>& probs = out->probs;
+  // `open` and `chosen` are branch-free compactions: every index is
+  // written, and the cursor advances only past the kept ones.
   auto& open = scratch->open;
-  open.clear();
+  open.resize(n);
+  std::size_t kept = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (!IsSet(probs[i])) open.push_back(i);
+    open[kept] = i;
+    kept += static_cast<std::size_t>((probs[i] != 0.0) & (probs[i] != 1.0));
   }
+  open.resize(kept);
 
   AggregationTree& tree = scratch->agg;
   tree.Clear(n);
@@ -97,19 +104,27 @@ void AwareSummarizeInto(const std::vector<Weight>& weights,
     case AwareStructure::Kind::kKd:
       EmitOpenKdTree(structure, probs, scratch);
       break;
+    case AwareStructure::Kind::kShuffled:
+      EmitShuffledTree(n, rng, &tree);
+      break;
   }
 
   auto& work = scratch->work;
   work.assign(probs.begin(), probs.end());
   TreeAggregate(tree, work.data(), rng, &scratch->agg_work);
 
-  out->chosen.clear();
+  auto& chosen = out->chosen;
+  chosen.resize(n);
+  kept = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (probs[i] == 1.0) out->chosen.push_back(static_cast<std::uint32_t>(i));
+    chosen[kept] = static_cast<std::uint32_t>(i);
+    kept += static_cast<std::size_t>(probs[i] == 1.0);
   }
   for (std::size_t i : open) {
-    if (work[i] == 1.0) out->chosen.push_back(static_cast<std::uint32_t>(i));
+    chosen[kept] = static_cast<std::uint32_t>(i);
+    kept += static_cast<std::size_t>(work[i] == 1.0);
   }
+  chosen.resize(kept);
 }
 
 void EmitOrderTree(const Coord* xs, const std::vector<std::size_t>& open,
@@ -187,6 +202,17 @@ void EmitKdTree(const KdCoreBuild& core,
     }
     tree->CloseGroup();
   }
+}
+
+void EmitShuffledTree(std::size_t n, Rng* rng, AggregationTree* tree) {
+  assert(tree->num_groups() == 0);
+  auto& order = tree->members;
+  order.resize(n);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  for (std::size_t i = n; i > 1; --i) {
+    std::swap(order[i - 1], order[rng->NextBounded(i)]);
+  }
+  tree->CloseGroup();
 }
 
 void EmitKdTree(const KdHierarchy& kd, AggregationTree* tree) {

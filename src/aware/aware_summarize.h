@@ -12,10 +12,12 @@
 //
 // An order is one chain (Algorithm 5), disjoint ranges are two levels, a
 // hierarchy is its own tree, and a product structure is the kd hierarchy
-// over the open keys (Algorithm 2). The emitters are public so tests and
-// replays can run any stage on its own. The two-pass constructions
-// (aware/two_pass.h) reuse the same tree emitters and TreeAggregate for
-// their final step.
+// over the open keys (Algorithm 2). No structure at all is one chain in
+// uniformly random order: the classic structure-oblivious VarOpt sample
+// (Section 2), which the sample merge (aware/merge.h) and VarOptOffline
+// draw. The emitters are public so tests and replays can run any stage on
+// its own. The two-pass constructions (aware/two_pass.h) reuse the same
+// tree emitters and TreeAggregate for their final step.
 //
 // The pipeline records the telemetry spans `build.solve_tau`,
 // `build.ipps_fill` and `build.aggregate` (steps 2-5; a kd build inside it
@@ -42,7 +44,7 @@ namespace sas {
 /// caller's storage for the duration of the build. Item i of the build is
 /// weights[i] of AwareSummarizeInto.
 struct AwareStructure {
-  enum class Kind { kOrder, kHierarchy, kDisjoint, kKd };
+  enum class Kind { kOrder, kHierarchy, kDisjoint, kKd, kShuffled };
   Kind kind = Kind::kOrder;
   const WeightedKey* items = nullptr;  // order: by pt.x; kd: 2-D points
   const Coord* coords = nullptr;       // kd: flat points, `dims` per item
@@ -72,6 +74,8 @@ struct AwareStructure {
   static AwareStructure Kd(const std::vector<Coord>& coords, int dims) {
     return {.kind = Kind::kKd, .coords = coords.data(), .dims = dims};
   }
+  /// No structure: the items in uniformly random order.
+  static AwareStructure Shuffled() { return {.kind = Kind::kShuffled}; }
 };
 
 /// Draws a structure-aware VarOpt sample of (expected) size s over the
@@ -116,6 +120,12 @@ void EmitKdTree(const KdCoreBuild& core,
                 const std::vector<std::size_t>& item_order,
                 const std::vector<std::size_t>& entry_of_item,
                 AggregationTree* tree);
+
+/// Shuffled: one group over all n entries, settled ones included, in the
+/// order of a Fisher-Yates shuffle drawn with rng->NextBounded (n - 1
+/// draws). The draws precede TreeAggregate's, exactly as the classic
+/// shuffle-then-chain loop made them.
+void EmitShuffledTree(std::size_t n, Rng* rng, AggregationTree* tree);
 
 /// Kd over a built KdHierarchy whose build items are the entries.
 void EmitKdTree(const KdHierarchy& kd, AggregationTree* tree);

@@ -112,7 +112,11 @@ void TreeAggregate(const AggregationTree& tree, double* probs, Rng* rng,
   auto& chain = scratch->chain;
   leftover.resize(groups);
   RngStream draws(rng);
-  for (std::size_t g = 0; g < groups; ++g) {
+  // Group 0 cannot name a leftover, so it chains straight from the
+  // members; later groups resolve theirs into `chain` first.
+  leftover[0] = ChainAggregateRange(probs, tree.members.data(), tree.start[1],
+                                    kNoEntry, &draws);
+  for (std::size_t g = 1; g < groups; ++g) {
     chain.clear();
     for (std::size_t k = tree.start[g]; k < tree.start[g + 1]; ++k) {
       const std::size_t m = tree.members[k];

@@ -40,7 +40,7 @@ class StreamVarOpt {
   /// its *adjusted* weight, so a combiner sketch absorbing shard samples
   /// stays unbiased for the union of the shards' data (law of total
   /// expectation). This is the streaming counterpart of MergeSamples
-  /// (core/merge.h).
+  /// (aware/merge.h).
   void Absorb(const Sample& sample);
 
   /// Current threshold (0 while fewer than s items have been seen).

@@ -1,42 +1,25 @@
 #include "sampling/varopt_offline.h"
 
-#include <numeric>
+#include <utility>
 
-#include "core/ipps.h"
-#include "core/pair_aggregate.h"
+#include "aware/aware_summarize.h"
 
 namespace sas {
 
-void AggregateInOrder(std::vector<double>* probs,
-                      const std::vector<std::size_t>& order, Rng* rng) {
-  const std::size_t leftover = ChainAggregate(probs, order, kNoEntry, rng);
-  ResolveResidual(probs, leftover, rng);
-}
-
 Sample VarOptOffline(const std::vector<WeightedKey>& items, double s,
                      Rng* rng) {
-  std::vector<Weight> weights;
-  weights.reserve(items.size());
-  for (const auto& it : items) weights.push_back(it.weight);
-  const double tau = SolveTau(weights, s);
-
-  std::vector<double> probs;
-  IppsProbabilities(weights, tau, &probs);
-  for (auto& q : probs) q = SnapProbability(q);
-
-  // Random aggregation order = structure-oblivious pair selection.
-  std::vector<std::size_t> order(items.size());
-  std::iota(order.begin(), order.end(), 0);
-  for (std::size_t i = order.size(); i > 1; --i) {
-    std::swap(order[i - 1], order[rng->NextBounded(i)]);
-  }
-  AggregateInOrder(&probs, order, rng);
-
+  SummarizeScratch scratch;
+  SummarizeOutput out;
+  scratch.weights.reserve(items.size());
+  for (const WeightedKey& it : items) scratch.weights.push_back(it.weight);
+  AwareSummarizeInto(scratch.weights, AwareStructure::Shuffled(), s, rng,
+                     &scratch, &out);
   std::vector<WeightedKey> chosen;
+  chosen.reserve(out.chosen.size());
   for (std::size_t i = 0; i < items.size(); ++i) {
-    if (probs[i] == 1.0) chosen.push_back(items[i]);
+    if (scratch.work[i] == 1.0) chosen.push_back(items[i]);
   }
-  return Sample(tau, std::move(chosen));
+  return Sample(out.tau, std::move(chosen));
 }
 
 }  // namespace sas

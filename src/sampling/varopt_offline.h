@@ -4,7 +4,8 @@
 // probabilities for the exact threshold tau_s, then repeatedly
 // PAIR-AGGREGATE entries until all are set. Aggregating pairs in *random*
 // order ignores structure, producing the classic structure-oblivious VarOpt
-// distribution with sample size exactly s.
+// distribution with sample size exactly s. It is the build pipeline
+// (aware/aware_summarize.h) with the shuffled emitter.
 
 #ifndef SAS_SAMPLING_VAROPT_OFFLINE_H_
 #define SAS_SAMPLING_VAROPT_OFFLINE_H_
@@ -19,16 +20,9 @@ namespace sas {
 
 /// Draws a VarOpt sample of size exactly floor/ceil of s (exactly s when the
 /// IPPS probabilities sum to the integer s, which holds for the exact
-/// offline threshold).
+/// offline threshold). Entries are listed in input order.
 Sample VarOptOffline(const std::vector<WeightedKey>& items, double s,
                      Rng* rng);
-
-/// Core routine shared with the structure-aware summarizers: given open
-/// probabilities, aggregates them in the (possibly shuffled) order given by
-/// `order`, maintaining one active entry, and resolves any final residual.
-/// On return every probs entry is 0 or 1.
-void AggregateInOrder(std::vector<double>* probs,
-                      const std::vector<std::size_t>& order, Rng* rng);
 
 }  // namespace sas
 

@@ -33,12 +33,7 @@ ServingSnapshot::ServingSnapshot(const Sample& sample)
 
   by_id_ = PositionsById(entries);
   id_keys_.resize(n);
-  prefix_id_.resize(n + 1);
-  prefix_id_[0] = 0.0;
-  for (std::size_t r = 0; r < n; ++r) {
-    id_keys_[r] = entries[by_id_[r]].id;
-    prefix_id_[r + 1] = prefix_id_[r] + AdjustedAt(by_id_[r]);
-  }
+  for (std::size_t r = 0; r < n; ++r) id_keys_[r] = entries[by_id_[r]].id;
 
   // Vose alias table over the adjusted weights. Scaled so column c carries
   // adjusted(c) * n / total; columns below 1 are topped up by columns above
@@ -100,14 +95,6 @@ Weight ServingSnapshot::EstimateBox(const Box& box,
 Weight ServingSnapshot::EstimateQuery(const MultiRangeQuery& q,
                                       QueryScratch* scratch) const {
   return box_index_.Estimate(sample_, q.boxes, &scratch->bitmap);
-}
-
-Weight ServingSnapshot::EstimateIdRangeFast(KeyId lo, KeyId hi) const {
-  if (hi <= lo) return 0.0;
-  const auto b = std::lower_bound(id_keys_.begin(), id_keys_.end(), lo);
-  const auto e = std::lower_bound(b, id_keys_.end(), hi);
-  return prefix_id_[static_cast<std::size_t>(e - id_keys_.begin())] -
-         prefix_id_[static_cast<std::size_t>(b - id_keys_.begin())];
 }
 
 std::size_t ServingSnapshot::DrawIndex(Rng* rng) const {

@@ -7,8 +7,7 @@
 //
 //   * The library's box-query index (core/box_index.h) for box and
 //     multi-rectangle estimates.
-//   * A position index sorted by key id, with a prefix array of
-//     Horvitz-Thompson adjusted weights, so id-range estimates localize
+//   * A position index sorted by key id, so id-range estimates localize
 //     their matches with binary search instead of scanning all s entries.
 //   * A Vose alias table over the adjusted weights — one O(1) lookup per
 //     sample-proportional entry draw (cf. the alias-table samplers in
@@ -23,10 +22,7 @@
 // positions in the reader's position bitmap and sums the marked entries in
 // ascending position order — exactly the same additions in exactly the
 // same order, and an entry matched twice (overlapping rectangles) is summed
-// once. EstimateIdRangeFast differences the id prefix sums instead — true
-// O(log s), but re-associated: equal to the linear scan only up to
-// ulp-level error (the same contract as the SIMD reductions,
-// docs/architecture.md).
+// once.
 //
 // Thread-safety: every method is const and the object is deeply immutable
 // after construction; any number of threads may query one snapshot
@@ -94,11 +90,6 @@ class ServingSnapshot {
     return box_index_.CountInBox(box);
   }
 
-  /// Prefix-sum difference over the id-sorted index: O(log s) flat, but the
-  /// additions are re-associated — agrees with EstimateIdRange only to
-  /// ulp-level accuracy.
-  Weight EstimateIdRangeFast(KeyId lo, KeyId hi) const;
-
   // --- Alias-table drawdowns ---------------------------------------------
 
   /// One sample-proportional draw: entry index distributed proportionally
@@ -123,11 +114,9 @@ class ServingSnapshot {
 
   // Id index: by_id_[r] is the entry position of rank r under (id,
   // position) order; id_keys_ mirrors the sort key for cache-friendly
-  // binary search; prefix_id_[r] is the adjusted-weight prefix sum over
-  // by_id_[0..r) (EstimateIdRangeFast).
+  // binary search.
   std::vector<std::uint32_t> by_id_;
   std::vector<KeyId> id_keys_;
-  std::vector<double> prefix_id_;
 
   // Vose alias table over the adjusted weights: a draw picks column c
   // uniformly, then returns c with probability accept_[c], alias_[c]

@@ -298,9 +298,8 @@ const Sample& WindowedSummarizer::MergedWindow() {
         merge_seed_base_,
         Mix64(static_cast<std::uint64_t>(cur_epoch_)) ^ cur_items_.size()));
     cached_window_ =
-        MergeSampleParts(merge_parts_.data(), merge_parts_.size(),
-                         static_cast<std::size_t>(effective_s_), &merge_rng,
-                         &merge_scratch_);
+        MergeSamples(merge_parts_, static_cast<std::size_t>(effective_s_),
+                     &merge_rng, &merge_scratch_);
     // sas-lint: allow(catch-all): a failed merge can leave the shared
     // merge scratch and cache mid-update; mark the ring poisoned before
     // the error propagates so later queries fail fast.

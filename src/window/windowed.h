@@ -3,7 +3,7 @@
 // time units as a ring of B time buckets, each summarized by an
 // <inner-key> summarizer made by the composition layer (api/compose.h).
 // Ingest is timestamped; a query merges the live buckets' VarOpt samples
-// (core/merge.h) into one sample of expected size cfg.s covering the
+// (aware/merge.h) into one sample of expected size cfg.s covering the
 // window:
 //
 //   auto builder = MakeSummarizer("windowed:3600:60:obliv", cfg);
@@ -53,7 +53,7 @@
 #include "api/compose.h"
 #include "api/summarizer.h"
 #include "api/summary.h"
-#include "core/merge.h"
+#include "aware/merge.h"
 #include "core/random.h"
 #include "core/sample.h"
 

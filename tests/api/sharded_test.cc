@@ -444,5 +444,28 @@ TEST(Sharded, DestructionWithoutFinalizeJoinsWorkers) {
   SUCCEED();
 }
 
+TEST(Sharded, WorkersRunOnlyBetweenFirstHandOffAndFinalize) {
+  const int base = test::ThreadCount();
+  if (base < 0) GTEST_SKIP() << "/proc/self/task is not available";
+  SummarizerConfig cfg;
+  cfg.s = 100.0;
+  auto builder = MakeSummarizer("sharded:4:obliv", cfg);
+  EXPECT_LE(test::ThreadCount(), base);  // constructed: no workers yet
+  Rng data_rng(48);
+  const auto items = RandomItems(40000, 1 << 12, &data_rng);
+  builder->AddBatch(items);  // every shard gets full batches handed off
+  EXPECT_GE(test::ThreadCount(), base + 4);
+  (void)builder->Finalize();
+  EXPECT_LE(test::ThreadCount(), base);
+  ASSERT_TRUE(builder->Reset(7));
+  EXPECT_LE(test::ThreadCount(), base);  // none again until a hand-off
+
+  // Nothing handed off: Finalize starts the workers to finalize the shards.
+  builder->Add(items[0]);
+  const auto one = builder->Finalize();
+  EXPECT_EQ(one->AsSample()->sample().size(), 1u);
+  EXPECT_LE(test::ThreadCount(), base);
+}
+
 }  // namespace
 }  // namespace sas

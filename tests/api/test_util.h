@@ -3,7 +3,9 @@
 #ifndef SAS_TESTS_API_TEST_UTIL_H_
 #define SAS_TESTS_API_TEST_UTIL_H_
 
+#include <filesystem>
 #include <set>
+#include <system_error>
 #include <utility>
 #include <vector>
 
@@ -25,6 +27,17 @@ inline std::vector<WeightedKey> RandomItems(std::size_t n, Coord domain,
     items.push_back({id++, rng->NextPareto(1.3), {x, y}});
   }
   return items;
+}
+
+/// The number of threads of this process (entries of /proc/self/task), or
+/// -1 where that directory does not exist.
+inline int ThreadCount() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  int n = 0;
+  for (; it != std::filesystem::directory_iterator(); it.increment(ec)) ++n;
+  return n;
 }
 
 }  // namespace sas::test

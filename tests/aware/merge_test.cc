@@ -1,16 +1,16 @@
-// MergeSamples / MergeAllSamples correctness: exact invariants (everything
+// MergeSamples correctness: exact invariants (everything
 // fits, total preservation, output size) and statistical unbiasedness of
 // the merged Horvitz-Thompson estimates over order-, hierarchy-, and
 // product-structured data (fixed-seed tolerance tests).
 
-#include "core/merge.h"
+#include "aware/merge.h"
 
 #include <gtest/gtest.h>
 
 #include <cstddef>
 #include <vector>
 
-#include "../aware/aware_test_util.h"
+#include "aware_test_util.h"
 #include "core/random.h"
 #include "sampling/varopt_offline.h"
 #include "structure/hierarchy.h"
@@ -27,6 +27,21 @@ std::vector<WeightedKey> ParetoItems(std::size_t n, Coord domain, Rng* rng) {
   return items;
 }
 
+/// Two-way merge with a fresh scratch.
+Sample Merge(const Sample& a, const Sample& b, std::size_t s, Rng* rng) {
+  const Sample* parts[] = {&a, &b};
+  MergeScratch scratch;
+  return MergeSamples(parts, s, rng, &scratch);
+}
+
+/// N-way merge with a fresh scratch.
+Sample MergeAll(const std::vector<Sample>& parts, std::size_t s, Rng* rng) {
+  std::vector<const Sample*> ptrs;
+  for (const Sample& p : parts) ptrs.push_back(&p);
+  MergeScratch scratch;
+  return MergeSamples(ptrs, s, rng, &scratch);
+}
+
 Weight ExactBox(const std::vector<WeightedKey>& items, const Box& box) {
   Weight total = 0.0;
   for (const auto& it : items) {
@@ -39,7 +54,7 @@ TEST(MergeSamples, KeepsEverythingWhenItFits) {
   const Sample a(2.0, {{0, 1.0, {0, 0}}, {1, 5.0, {1, 0}}});
   const Sample b(3.0, {{2, 1.5, {2, 0}}, {3, 9.0, {3, 0}}});
   Rng rng(1);
-  const Sample merged = MergeSamples(a, b, 100, &rng);
+  const Sample merged = Merge(a, b, 100, &rng);
   ASSERT_EQ(merged.size(), 4u);
   EXPECT_DOUBLE_EQ(merged.tau(), 0.0);
   // Entries are carried at their adjusted weights: the light entries (1.0
@@ -55,7 +70,7 @@ TEST(MergeSamples, NoRandomnessConsumedWhenItFits) {
   const Sample a(0.0, {{0, 1.0, {0, 0}}});
   const Sample b(0.0, {{1, 2.0, {1, 0}}});
   Rng rng(7), untouched(7);
-  (void)MergeSamples(a, b, 10, &rng);
+  (void)Merge(a, b, 10, &rng);
   EXPECT_EQ(rng.Next(), untouched.Next());
 }
 
@@ -71,7 +86,7 @@ TEST(MergeSamples, OutputSizeAndTotalPreservation) {
     Rng rng = seeder.Split();
     const Sample a = VarOptOffline(half_a, static_cast<double>(s), &rng);
     const Sample b = VarOptOffline(half_b, static_cast<double>(s), &rng);
-    const Sample merged = MergeSamples(a, b, s, &rng);
+    const Sample merged = Merge(a, b, s, &rng);
 
     // VarOpt keeps the sample size fixed (floating-point residual may move
     // it by one) and preserves the total estimate deterministically.
@@ -103,7 +118,7 @@ void CheckMergedBoxUnbiased(const std::vector<WeightedKey>& items,
     Rng rng = seeder.Split();
     const Sample a = sample_half(half_a, /*first=*/true, &rng);
     const Sample b = sample_half(half_b, /*first=*/false, &rng);
-    const Sample merged = MergeSamples(a, b, s, &rng);
+    const Sample merged = Merge(a, b, s, &rng);
     sum += merged.EstimateBox(box);
   }
   EXPECT_NEAR(sum / trials / exact, 1.0, rel_tol);
@@ -155,7 +170,7 @@ TEST(MergeSamples, UnbiasedOverProductData) {
       });
 }
 
-TEST(MergeAllSamples, NWayMatchesExactTotalAndIsUnbiased) {
+TEST(MergeSamples, NWayMatchesExactTotalAndIsUnbiased) {
   Rng data_rng(35);
   const auto items = ParetoItems(800, 1 << 10, &data_rng);
   Weight exact_total = 0.0;
@@ -176,7 +191,7 @@ TEST(MergeAllSamples, NWayMatchesExactTotalAndIsUnbiased) {
           items.begin() + (p + 1) * items.size() / parts);
       shards.push_back(VarOptOffline(slice, static_cast<double>(s), &rng));
     }
-    const Sample merged = MergeAllSamples(shards, s, &rng);
+    const Sample merged = MergeAll(shards, s, &rng);
     EXPECT_NEAR(merged.EstimateTotal() / exact_total, 1.0, 1e-9);
     EXPECT_NEAR(static_cast<double>(merged.size()), static_cast<double>(s),
                 1.0);
@@ -202,14 +217,14 @@ TEST(MergeSamples, RepeatedMergeStaysUnbiased) {
                                            items.begin() + (p + 1) * 100);
       leaves.push_back(VarOptOffline(slice, 40.0, &rng));
     }
-    const Sample left = MergeSamples(leaves[0], leaves[1], 40, &rng);
-    const Sample right = MergeSamples(leaves[2], leaves[3], 40, &rng);
-    const Sample root = MergeSamples(left, right, 40, &rng);
+    const Sample left = Merge(leaves[0], leaves[1], 40, &rng);
+    const Sample right = Merge(leaves[2], leaves[3], 40, &rng);
+    const Sample root = Merge(left, right, 40, &rng);
     EXPECT_NEAR(root.EstimateTotal() / exact_total, 1.0, 1e-9);
   }
 }
 
-TEST(MergeAllSamples, ZeroEntryPartsAreCarriedHarmlessly) {
+TEST(MergeSamples, ZeroEntryPartsAreCarriedHarmlessly) {
   // The windowed ring routinely merges buckets whose samples hold no
   // entries (all-zero-weight epochs); they must not disturb the result.
   Rng rng(39);
@@ -224,22 +239,22 @@ TEST(MergeAllSamples, ZeroEntryPartsAreCarriedHarmlessly) {
   parts.emplace_back();                              // default: 0 entries
   parts.push_back(VarOptOffline(items, 50.0, &rng));
   parts.push_back(Sample(3.0, {}));                  // tau set, no entries
-  const Sample merged = MergeAllSamples(parts, 50, &rng);
+  const Sample merged = MergeAll(parts, 50, &rng);
   EXPECT_NEAR(merged.EstimateTotal() / exact_total, 1.0, 1e-9);
   EXPECT_NEAR(static_cast<double>(merged.size()), 50.0, 1.0);
 
   // All parts empty: an empty, zero-threshold sample.
   std::vector<Sample> empties(3);
-  const Sample empty = MergeAllSamples(empties, 10, &rng);
+  const Sample empty = MergeAll(empties, 10, &rng);
   EXPECT_EQ(empty.size(), 0u);
   EXPECT_DOUBLE_EQ(empty.tau(), 0.0);
   EXPECT_DOUBLE_EQ(empty.EstimateTotal(), 0.0);
 }
 
-TEST(MergeSampleParts, ScratchReuseMatchesPlainMerge) {
-  // The pointer/scratch flavor is the same merge: identical draws from an
-  // identically-seeded RNG must give the identical sample, across repeated
-  // reuse of one scratch.
+TEST(MergeSamples, ReusedScratchMatchesFreshScratch) {
+  // A scratch reused across merges (as the windowed ring keeps one) gives
+  // exactly the sample a fresh scratch gives from an identically-seeded
+  // RNG.
   Rng rng(40);
   std::vector<WeightedKey> items;
   for (KeyId i = 0; i < 400; ++i) {
@@ -253,14 +268,14 @@ TEST(MergeSampleParts, ScratchReuseMatchesPlainMerge) {
   MergeScratch scratch;
   for (int round = 0; round < 3; ++round) {
     Rng r1(123), r2(123);
-    const Sample plain = MergeSamples(a, b, 60, &r1);
+    const Sample fresh = Merge(a, b, 60, &r1);
     const Sample* parts[2] = {&a, &b};
-    const Sample pooled = MergeSampleParts(parts, 2, 60, &r2, &scratch);
-    ASSERT_EQ(plain.size(), pooled.size());
-    EXPECT_DOUBLE_EQ(plain.tau(), pooled.tau());
-    for (std::size_t i = 0; i < plain.size(); ++i) {
-      EXPECT_EQ(plain.entries()[i].id, pooled.entries()[i].id);
-      EXPECT_DOUBLE_EQ(plain.entries()[i].weight, pooled.entries()[i].weight);
+    const Sample pooled = MergeSamples(parts, 60, &r2, &scratch);
+    ASSERT_EQ(fresh.size(), pooled.size());
+    EXPECT_DOUBLE_EQ(fresh.tau(), pooled.tau());
+    for (std::size_t i = 0; i < fresh.size(); ++i) {
+      EXPECT_EQ(fresh.entries()[i].id, pooled.entries()[i].id);
+      EXPECT_DOUBLE_EQ(fresh.entries()[i].weight, pooled.entries()[i].weight);
     }
   }
 }

@@ -25,8 +25,9 @@
 //    that need all eight radix bytes, an all-zero axis, n <= 3, d in
 //    {1, 3, 4}.
 //  * Aggregation passes of every summarizer family (order / hierarchy /
-//    product / disjoint): each structure's emitter plus TreeAggregate,
-//    run against the classic per-family loops over the
+//    product / disjoint, and the structure-oblivious shuffle that the
+//    sample merge and VarOptOffline run): each structure's emitter plus
+//    TreeAggregate, run against the classic per-family loops over the
 //    reference chain given the same inputs: bit-identical probabilities
 //    and post-call rng state.
 //
@@ -164,6 +165,20 @@ void ResolveResidual(std::vector<double>* probs, std::size_t entry,
   auto& p = *probs;
   if (IsSet(p[entry])) return;
   p[entry] = rng->NextBernoulli(p[entry]) ? 1.0 : 0.0;
+}
+
+/// The structure-oblivious settle of the classic VarOptOffline and sample
+/// merge: a Fisher-Yates shuffle of every index, one chain in that order,
+/// then the residual.
+void ShuffleAndChain(std::vector<double>* probs, Rng* rng) {
+  std::vector<std::size_t> order(probs->size());
+  std::iota(order.begin(), order.end(), 0);
+  for (std::size_t i = order.size(); i > 1; --i) {
+    std::swap(order[i - 1], order[rng->NextBounded(i)]);
+  }
+  const std::size_t leftover = ref::ChainAggregate(probs, order, kNoEntry,
+                                                   rng);
+  ref::ResolveResidual(probs, leftover, rng);
 }
 
 inline Coord AxisCoord(const Point2D& p, int axis) {
@@ -1373,6 +1388,47 @@ TEST(FastPathEndToEnd, DisjointEmitterMatchesReference) {
   Rng rng_new(0);
   ASSERT_EQ(p_ref, RunTree(tree, g.probs, 2718, &rng_new));
   ExpectSameRngState(rng, rng_new);
+}
+
+TEST(FastPathEndToEnd, ShuffleEmitterMatchesReference) {
+  // Open keys to aggregate (s < n, integral and fractional), and s >= n,
+  // where every key is certain: the shuffle still draws, the chain none.
+  struct Case {
+    std::size_t n;
+    double s;
+    std::uint64_t seed;
+  };
+  for (const Case& c : {Case{3000, 250.0, 17}, Case{1000, 999.5, 18},
+                        Case{2, 1.0, 19}, Case{500, 500.0, 20},
+                        Case{400, 1000.0, 21}, Case{0, 5.0, 22}}) {
+    const GoldenData g = MakeGolden(c.n, c.s, c.seed);
+    std::vector<double> p_ref = g.probs;
+    Rng rng_ref(c.seed + 1000);
+    ref::ShuffleAndChain(&p_ref, &rng_ref);
+
+    AggregationTree tree;
+    tree.Clear(c.n);
+    Rng rng_tree(c.seed + 1000);
+    EmitShuffledTree(c.n, &rng_tree, &tree);
+    ASSERT_EQ(tree.num_groups(), 1u);
+    std::vector<double> p_tree = g.probs;
+    TreeAggregateScratch agg;
+    TreeAggregate(tree, p_tree.data(), &rng_tree, &agg);
+    ASSERT_EQ(p_ref, p_tree) << "n=" << c.n << " s=" << c.s;
+    ExpectSameRngState(rng_ref, rng_tree);
+
+    // The whole pipeline: its settled vector is the reference's.
+    std::vector<Weight> weights;
+    for (const auto& it : g.items) weights.push_back(it.weight);
+    SummarizeScratch scratch;
+    SummarizeOutput out;
+    Rng rng_pipe(c.seed + 1000);
+    AwareSummarizeInto(weights, AwareStructure::Shuffled(), c.s, &rng_pipe,
+                       &scratch, &out);
+    ASSERT_EQ(out.probs, g.probs);
+    ASSERT_EQ(scratch.work, p_ref) << "n=" << c.n << " s=" << c.s;
+    ExpectSameRngState(rng_ref, rng_pipe);
+  }
 }
 
 TEST(FastPathEndToEnd, SummarizersAreDeterministicAndExact) {

@@ -1,4 +1,4 @@
-#include "core/prob_vector.h"
+#include "prob_vector.h"
 
 #include <gtest/gtest.h>
 

@@ -7,12 +7,12 @@
 
 #include <vector>
 
+#include "../sampling/poisson.h"
 #include "api/registry.h"
 #include "aware/two_pass.h"
 #include "core/ipps.h"
 #include "core/random.h"
 #include "structure/hierarchy.h"
-#include "sampling/poisson.h"
 #include "sampling/stream_varopt.h"
 #include "sampling/systematic.h"
 #include "sampling/varopt_offline.h"

@@ -1,4 +1,4 @@
-#include "sampling/poisson.h"
+#include "poisson.h"
 
 #include <gtest/gtest.h>
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/ipps.h"
-#include "core/pair_aggregate.h"
 #include "core/random.h"
 
 namespace sas {
@@ -103,19 +102,6 @@ TEST(VarOptOffline, AllKeysWhenSampleIsLarge) {
   EXPECT_EQ(sample.size(), 3u);
   EXPECT_DOUBLE_EQ(sample.tau(), 0.0);
   EXPECT_DOUBLE_EQ(sample.EstimateTotal(), 6.0);
-}
-
-TEST(AggregateInOrder, AllEntriesSet) {
-  Rng rng(6);
-  std::vector<double> p{0.3, 0.7, 0.4, 0.6, 0.5, 0.5};
-  std::vector<std::size_t> order{0, 1, 2, 3, 4, 5};
-  AggregateInOrder(&p, order, &rng);
-  int ones = 0;
-  for (double x : p) {
-    EXPECT_TRUE(IsSet(x));
-    ones += x == 1.0;
-  }
-  EXPECT_EQ(ones, 3);  // total mass 3.0
 }
 
 }  // namespace

@@ -154,14 +154,12 @@ TEST(QueryService, ConcurrentReadersSeeOnlyConsistentSnapshots) {
         SnapshotHandle snap = reader.Acquire();
         // Consistency invariant of CountingSample(n): every view of the
         // snapshot agrees on n. A torn snapshot (entries from one publish,
-        // prefix array or total from another) breaks at least one
-        // equality.
+        // id index or total from another) breaks at least one equality.
         const double total = snap->TotalWeight();
         const double n = static_cast<double>(snap->size());
         const bool consistent =
             total == n && total >= 1.0 &&
             total <= static_cast<double>(kPublishes) &&
-            snap->EstimateIdRangeFast(0, ~KeyId{0}) == total &&
             snap->EstimateIdRange(0, ~KeyId{0}, &reader.scratch()) == total &&
             snap->sample().EstimateTotal() == total;
         if (!consistent) torn.store(true, std::memory_order_release);

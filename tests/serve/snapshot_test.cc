@@ -2,18 +2,15 @@
 // be BIT-IDENTICAL (EXPECT_EQ on doubles, not near) to the linear Sample
 // scans across every sample-backed registry key family — the accelerated
 // path reproduces the linear scan's addition order exactly, and counts an
-// entry inside overlapping rectangles once. The EstimateIdRangeFast
-// prefix-difference path is re-associated and is held to ulp-level
-// relative tolerance instead (the SIMD reduction contract). Plus: alias
-// table draw frequencies pass a chi-square test at fixed seed, and
-// degenerate snapshots (empty, duplicate ids, zero weights) behave.
+// entry inside overlapping rectangles once. Plus: alias table draw
+// frequencies pass a chi-square test at fixed seed, and degenerate
+// snapshots (empty, duplicate ids, zero weights) behave.
 
 #include "serve/snapshot.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cmath>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -109,24 +106,6 @@ TEST(ServingSnapshotDifferential, IdRangeSubsetsBitIdentical) {
   }
 }
 
-TEST(ServingSnapshotDifferential, FastPathsMatchToUlpLevel) {
-  const SampleCaseInputs in;
-  for (const MethodCase& c : SampleBackedCases(in)) {
-    SCOPED_TRACE(c.key);
-    auto builder = MakeSummarizer(c.key, BaseConfig(c));
-    builder->AddBatch(*c.items);
-    const auto summary = builder->Finalize();
-    const Sample& sample = summary->AsSample()->sample();
-    const ServingSnapshot snap(sample);
-
-    // The prefix-difference path re-associates the additions: near-equality
-    // only, the same contract as the SIMD reductions.
-    const Weight total = sample.EstimateTotal();
-    EXPECT_NEAR(snap.EstimateIdRangeFast(0, kN + 1), total,
-                1e-9 * std::max(1.0, std::abs(total)));
-  }
-}
-
 TEST(ServingSnapshot, DuplicateIdsFromMergedWindowsAreHandled) {
   // Merged windows can carry one key id twice (the same flow sampled in
   // two buckets). The position indexes order duplicates by position, so
@@ -202,7 +181,6 @@ TEST(ServingSnapshot, EmptySnapshot) {
   EXPECT_EQ(snap.TotalWeight(), 0.0);
   EXPECT_EQ(snap.EstimateBox({{0, 10}, {0, 10}}, &scratch), 0.0);
   EXPECT_EQ(snap.EstimateIdRange(0, 100, &scratch), 0.0);
-  EXPECT_EQ(snap.EstimateIdRangeFast(0, 100), 0.0);
   Rng rng(1);
   EXPECT_THROW(snap.DrawIndex(&rng), std::logic_error);
 }

@@ -574,6 +574,17 @@ TEST(Windowed, ComposesWithShardedInEitherOrder) {
   }
 }
 
+TEST(Windowed, ShardedInnerHoldsNoIdleThreads) {
+  // The constructor's Reset probe of a sharded inner builder must not
+  // start its worker pool: the workers exist only while a bucket builds.
+  const int base = test::ThreadCount();
+  if (base < 0) GTEST_SKIP() << "/proc/self/task is not available";
+  SummarizerConfig cfg;
+  cfg.s = 50.0;
+  auto builder = MakeSummarizer("windowed:60:4:sharded:8:obliv", cfg);
+  EXPECT_LE(test::ThreadCount(), base);
+}
+
 TEST(Windowed, SpentBuilderThrows) {
   SummarizerConfig cfg;
   cfg.s = 10.0;
