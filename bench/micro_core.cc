@@ -335,7 +335,7 @@ void SummarizerRebuildLoop(benchmark::State& state,
                            const std::vector<WeightedKey>& items,
                            const AwareStructure& structure) {
   // Steady-state rebuild through the one scratch-backed pipeline entry
-  // point, the cycle a recycled registry builder drives every Finalize:
+  // point, the cycle of a caller that keeps one scratch across builds:
   // persistent SummarizeScratch + SummarizeOutput, one warm-up build to
   // size the buffers, then the timed loop must allocate nothing
   // (allocs_per_iter is the acceptance counter — 0 in steady state).

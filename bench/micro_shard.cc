@@ -11,7 +11,6 @@
 #include "api/registry.h"
 #include "aware/merge.h"
 #include "core/random.h"
-#include "sampling/stream_varopt.h"
 #include "sampling/varopt_offline.h"
 
 namespace sas {
@@ -47,22 +46,6 @@ void BM_MergeSamples(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * (a.size() + b.size()));
 }
 BENCHMARK(BM_MergeSamples)->Arg(100)->Arg(1000)->Arg(10000);
-
-void BM_AbsorbIntoCombiner(benchmark::State& state) {
-  // Streaming alternative to MergeSamples: Absorb feeds a shard sample's
-  // entries into a StreamVarOpt combiner at their adjusted weights.
-  const std::size_t s = 1000;
-  const auto items = ParetoItems(8 * s, 33);
-  Rng rng(34);
-  const Sample part = VarOptOffline(items, static_cast<double>(s), &rng);
-  for (auto _ : state) {
-    StreamVarOpt combiner(s, Rng(state.iterations()));
-    combiner.Absorb(part);
-    benchmark::DoNotOptimize(combiner.TakeSample());
-  }
-  state.SetItemsProcessed(state.iterations() * part.size());
-}
-BENCHMARK(BM_AbsorbIntoCombiner);
 
 constexpr std::size_t kBuildN = 1 << 17;
 

@@ -62,7 +62,7 @@ BENCHMARK(BM_WindowIngest)->Arg(1 << 14)->Arg(1 << 17)
     ->Unit(benchmark::kMillisecond);
 
 /// One epoch advance: seal the current bucket (inner rebuild over the
-/// bucket's items), retire the expired slot, recycle the builder.
+/// bucket's items with a fresh inner builder), retire the expired slot.
 void BM_WindowAdvance(benchmark::State& state) {
   const std::size_t per_bucket = static_cast<std::size_t>(state.range(0));
   static const std::vector<WeightedKey> items = ParetoItems(1 << 14, 62);

@@ -266,8 +266,7 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(ingest.rejected_weight),
               static_cast<unsigned long long>(ingest.rejected_coord),
               static_cast<unsigned long long>(ingest.degradations));
-  std::printf("window: %zu merges, %zu bucket builders recycled\n",
-              win->merges_performed(), win->recycled_builders());
+  std::printf("window: %zu merges\n", win->merges_performed());
   if (failures > 0) return 1;
   std::printf("all checkpoint totals exact within 1e-6\n");
   return 0;

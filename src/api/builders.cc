@@ -56,17 +56,6 @@ class BufferingSummarizer : public Summarizer {
     }
   }
 
-  /// Buffering methods recycle trivially: drop the buffer (keeping its
-  /// capacity) and reseed. All of their randomness is drawn at Finalize
-  /// from Rng(cfg_.seed), so a recycled builder is indistinguishable from
-  /// a fresh one.
-  bool Reset(std::uint64_t seed) override {
-    items_.clear();
-    stats_ = IngestStats{};
-    cfg_.seed = seed;
-    return true;
-  }
-
  protected:
   std::vector<WeightedKey> items_;
 };
@@ -98,18 +87,17 @@ class AwareBuilder : public BufferingSummarizer {
     if (two_pass_) {
       return std::make_unique<SampleSummary>(key_, TwoPassSample(&rng));
     }
-    auto& weights = scratch_.weights;
-    weights.clear();
-    weights.reserve(items_.size());
-    for (const WeightedKey& it : items_) weights.push_back(it.weight);
-    AwareSummarizeInto(weights, structure, cfg_.s, &rng, &scratch_, &out_);
-    // The probs move into the summary (it owns its storage); the scratch
-    // and the rest of out_ keep their capacity for the next Reset cycle.
+    SummarizeScratch scratch;
+    SummarizeOutput out;
+    scratch.weights.reserve(items_.size());
+    for (const WeightedKey& it : items_) scratch.weights.push_back(it.weight);
+    AwareSummarizeInto(scratch.weights, structure, cfg_.s, &rng, &scratch,
+                       &out);
     std::vector<WeightedKey> entries;
-    entries.reserve(out_.chosen.size());
-    for (std::uint32_t i : out_.chosen) entries.push_back(items_[i]);
+    entries.reserve(out.chosen.size());
+    for (std::uint32_t i : out.chosen) entries.push_back(items_[i]);
     return std::make_unique<SampleSummary>(
-        key_, Sample(out_.tau, std::move(entries)), std::move(out_.probs));
+        key_, Sample(out.tau, std::move(entries)), std::move(out.probs));
   }
 
  private:
@@ -165,8 +153,6 @@ class AwareBuilder : public BufferingSummarizer {
   const char* key_;
   AwareStructure::Kind kind_;
   bool two_pass_;
-  SummarizeScratch scratch_;
-  SummarizeOutput out_;
 };
 
 /// d-dimensional product sampler. Points enter via AddCoords (any d) or via
@@ -182,7 +168,7 @@ class NdBuilder : public Summarizer {
           "nd summarizer: Add carries only 2 coordinates; use AddCoords "
           "for dims > 2");
     }
-    if (used_coords_) {
+    if (!coord_ids_.empty()) {
       throw std::logic_error("nd summarizer: do not mix Add and AddCoords");
     }
     if (!AdmitWeight(item.weight)) return;
@@ -202,74 +188,43 @@ class NdBuilder : public Summarizer {
 
   /// Mergeable via Add and AddCoordsKeyed, whose ids are caller-stable
   /// across a partition. Plain AddCoords synthesizes ids from the builder's
-  /// own insertion index, which a hash partition would collide across
-  /// shards — the sharded wrapper therefore assigns global ids itself and
-  /// routes through AddCoordsKeyed.
+  /// own call count, which a hash partition would collide across shards —
+  /// the sharded wrapper therefore assigns global ids itself and routes
+  /// through AddCoordsKeyed.
   bool Mergeable() const override { return true; }
 
-  bool Reset(std::uint64_t seed) override {
-    coords_.clear();
-    weights_.clear();
-    coord_ids_.clear();
-    originals_.clear();
-    used_coords_ = false;
-    stats_ = IngestStats{};
-    cfg_.seed = seed;
-    return true;
-  }
-
+  /// The point's id is the number of earlier AddCoords calls that returned
+  /// normally: a quarantined point consumes its id, a strict rejection
+  /// does not. So ids index the caller's stream, which is how the eval
+  /// harness looks sampled points up.
   void AddCoords(const Coord* coords, int dims, Weight w) override {
-    if (dims != cfg_.structure.dims) {
-      InvalidConfig(keys::kNd, "AddCoords dims does not match structure");
-    }
-    if (!originals_.empty()) {
-      throw std::logic_error("nd summarizer: do not mix Add and AddCoords");
-    }
-    if (!coord_ids_.empty()) {
-      throw std::logic_error(
-          "nd summarizer: do not mix AddCoords and AddCoordsKeyed");
-    }
-    if (!AdmitWeight(w)) return;
-    used_coords_ = true;
-    coords_.insert(coords_.end(), coords, coords + dims);
-    weights_.push_back(w);
+    AddPoint(next_coord_id_, /*keyed=*/false, coords, dims, w);
+    ++next_coord_id_;
   }
 
   void AddCoordsKeyed(KeyId id, const Coord* coords, int dims,
                       Weight w) override {
-    if (dims != cfg_.structure.dims) {
-      InvalidConfig(keys::kNd, "AddCoords dims does not match structure");
-    }
-    if (!originals_.empty()) {
-      throw std::logic_error("nd summarizer: do not mix Add and AddCoords");
-    }
-    if (coord_ids_.size() != weights_.size()) {
-      throw std::logic_error(
-          "nd summarizer: do not mix AddCoords and AddCoordsKeyed");
-    }
-    if (!AdmitWeight(w)) return;
-    used_coords_ = true;
-    coord_ids_.push_back(id);
-    coords_.insert(coords_.end(), coords, coords + dims);
-    weights_.push_back(w);
+    AddPoint(id, /*keyed=*/true, coords, dims, w);
   }
 
   std::unique_ptr<RangeSummary> Finalize() override {
     const int dims = cfg_.structure.dims;
     Rng rng(cfg_.seed);
+    SummarizeScratch scratch;
+    SummarizeOutput out;
     AwareSummarizeInto(weights_, AwareStructure::Kd(coords_, dims), cfg_.s,
-                       &rng, &scratch_, &out_);
+                       &rng, &scratch, &out);
     std::vector<WeightedKey> entries;
-    entries.reserve(out_.chosen.size());
-    for (std::uint32_t i : out_.chosen) {
+    entries.reserve(out.chosen.size());
+    for (std::uint32_t i : out.chosen) {
       if (i < originals_.size()) {
         entries.push_back(originals_[i]);
       } else {
-        // Synthesized key for AddCoords input: id = caller-provided (keyed
-        // path) or insertion index, point from the first two axes (queries
-        // beyond 2-D go through sample()).
+        // Synthesized key for AddCoords input: the point's id, and its
+        // point from the first two axes (queries beyond 2-D go through
+        // sample()).
         WeightedKey k;
-        k.id = coord_ids_.empty() ? i : coord_ids_[i];
+        k.id = coord_ids_[i];
         k.weight = weights_[i];
         k.pt.x = coords_[i * static_cast<std::size_t>(dims)];
         k.pt.y = dims > 1 ? coords_[i * static_cast<std::size_t>(dims) + 1]
@@ -278,18 +233,35 @@ class NdBuilder : public Summarizer {
       }
     }
     return std::make_unique<SampleSummary>(
-        keys::kNd, Sample(out_.tau, std::move(entries)),
-        std::move(out_.probs));
+        keys::kNd, Sample(out.tau, std::move(entries)), std::move(out.probs));
   }
 
  private:
+  void AddPoint(KeyId id, bool keyed, const Coord* coords, int dims,
+                Weight w) {
+    if (dims != cfg_.structure.dims) {
+      InvalidConfig(keys::kNd, "AddCoords dims does not match structure");
+    }
+    if (!originals_.empty()) {
+      throw std::logic_error("nd summarizer: do not mix Add and AddCoords");
+    }
+    if (!coord_ids_.empty() && keyed != keyed_) {
+      throw std::logic_error(
+          "nd summarizer: do not mix AddCoords and AddCoordsKeyed");
+    }
+    if (!AdmitWeight(w)) return;
+    keyed_ = keyed;
+    coord_ids_.push_back(id);
+    coords_.insert(coords_.end(), coords, coords + dims);
+    weights_.push_back(w);
+  }
+
   std::vector<Coord> coords_;
   std::vector<Weight> weights_;
-  std::vector<KeyId> coord_ids_;        // empty unless fed via AddCoordsKeyed
+  std::vector<KeyId> coord_ids_;        // empty when fed via Add
   std::vector<WeightedKey> originals_;  // empty when fed via AddCoords
-  bool used_coords_ = false;
-  SummarizeScratch scratch_;
-  SummarizeOutput out_;
+  bool keyed_ = false;       // the coord_ids_ came from AddCoordsKeyed
+  KeyId next_coord_id_ = 0;  // the id of the next AddCoords point
 };
 
 // ---------------------------------------------------------------------------
@@ -319,13 +291,6 @@ class OblivBuilder : public Summarizer {
   }
 
   bool Mergeable() const override { return true; }
-
-  bool Reset(std::uint64_t seed) override {
-    sketch_.Reset(Rng(seed));
-    stats_ = IngestStats{};
-    cfg_.seed = seed;
-    return true;
-  }
 
   std::unique_ptr<RangeSummary> Finalize() override {
     return std::make_unique<SampleSummary>(keys::kObliv,

@@ -46,8 +46,7 @@ inline constexpr const char kDisjointTwoPass[] = "disjoint-2p";
 
 // Baselines of the Section 6 evaluation.
 
-/// One-pass streaming VarOpt, structure-oblivious. Mergeable; also
-/// recyclable via Summarizer::Reset.
+/// One-pass streaming VarOpt, structure-oblivious. Mergeable.
 inline constexpr const char kObliv[] = "obliv";
 /// 2-D Haar wavelet keeping the top-s coefficients (cfg.bits_x/bits_y
 /// required). Deterministic; not mergeable.

@@ -222,7 +222,11 @@ std::unique_ptr<Summarizer> MakeLayer(
   }
   // serve: passes ingest straight to an inner builder that counts it.
   return std::make_unique<ServableSummarizer>(
-      std::move(key), MakeLayer(chain, level + 1, cfg), cfg);
+      std::move(key),
+      [chain, level](const SummarizerConfig& inner_cfg) {
+        return MakeLayer(chain, level + 1, inner_cfg);
+      },
+      cfg);
 }
 
 }  // namespace

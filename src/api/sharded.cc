@@ -117,8 +117,8 @@ ShardedSummarizer::ShardedSummarizer(std::string key, int num_shards,
   // retains a sample of expected size inner s, so the inner s is halved
   // once, here, until N such samples fit. Estimates stay unbiased at the
   // smaller s.
-  double inner_s = cfg.s;
-  degrade_steps_ = HalveToBudget(key_, &inner_s,
+  inner_s_ = cfg.s;
+  degrade_steps_ = HalveToBudget(key_, &inner_s_,
                                  static_cast<std::size_t>(num_shards),
                                  cfg.max_bytes);
   CountDegradation(degrade_steps_);
@@ -138,7 +138,7 @@ ShardedSummarizer::ShardedSummarizer(std::string key, int num_shards,
     sh->batches = telemetry::GetCounter("sas.shard.batches." + lane);
     sh->items = telemetry::GetCounter("sas.shard.items." + lane);
     sh->inner = inner_.Make(
-        cfg, ForkSeed(cfg.seed, static_cast<std::uint64_t>(i)), inner_s);
+        cfg, ForkSeed(cfg.seed, static_cast<std::uint64_t>(i)), inner_s_);
     sh->pending.items.reserve(kBatchSize);
     shards_.push_back(std::move(sh));
   }
@@ -192,7 +192,8 @@ void ShardedSummarizer::Add(const WeightedKey& item) {
 }
 
 void ShardedSummarizer::AddCoords(const Coord* coords, int dims, Weight w) {
-  AddCoordsKeyed(next_coord_id_++, coords, dims, w);
+  AddCoordsKeyed(next_coord_id_, coords, dims, w);
+  ++next_coord_id_;  // only once the call returns normally, as in "nd"
 }
 
 void ShardedSummarizer::AddCoordsKeyed(KeyId id, const Coord* coords,
@@ -381,16 +382,10 @@ std::unique_ptr<RangeSummary> ShardedSummarizer::Finalize() {
 
 bool ShardedSummarizer::Reset(std::uint64_t seed) {
   CloseAndJoin();
-  // All-or-nothing probe: shard inners are instances of one method, so the
-  // first refusal means none of them recycle — bail before touching state
-  // (the builder stays spent, as after any Finalize).
   for (auto& sh : shards_) {
-    if (!sh->inner->Reset(ForkSeed(seed, static_cast<std::uint64_t>(
-                                             sh->index)))) {
-      return false;
-    }
-  }
-  for (auto& sh : shards_) {
+    sh->inner = inner_.Make(
+        cfg_, ForkSeed(seed, static_cast<std::uint64_t>(sh->index)),
+        inner_s_);
     sh->pending.clear();
     sh->queue.clear();
     sh->closed = false;

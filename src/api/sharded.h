@@ -98,9 +98,10 @@ class ShardedSummarizer : public Summarizer {
   void Add(const WeightedKey& item) override;
 
   /// Routes one d-dimensional point. AddCoords assigns the point an id
-  /// from a wrapper-global insertion counter (so ids are unique across
-  /// shards, exactly as an unsharded "nd" builder would number the whole
-  /// stream) and forwards to AddCoordsKeyed, which hash-routes on the id
+  /// from a wrapper-global call counter (so ids are unique across shards,
+  /// exactly as an unsharded "nd" builder numbers the whole stream: a
+  /// quarantined point consumes its id, a rejected one does not) and
+  /// forwards to AddCoordsKeyed, which hash-routes on the id
   /// like Add and replays into the shard's builder via its AddCoordsKeyed.
   /// Inner methods without coordinate support throw on the worker thread;
   /// Finalize rethrows.
@@ -119,12 +120,11 @@ class ShardedSummarizer : public Summarizer {
   bool Mergeable() const override { return true; }
 
   /// Full recovery, including from the poisoned and finalized states:
-  /// joins any workers, resets every inner builder under ForkSeed(seed, i),
-  /// and clears errors/results/counters; the worker pool starts again on
-  /// the next hand-off, as in a fresh builder. After a successful Reset the
-  /// builder is bit-identical to a freshly constructed one with
-  /// cfg.seed = seed. Returns false (leaving the builder spent)
-  /// when the inner method is not recyclable.
+  /// joins any workers, builds every shard a fresh inner builder under
+  /// ForkSeed(seed, i), and clears errors/results/counters; the worker
+  /// pool starts again on the next hand-off, as in a fresh builder. The
+  /// builder is then bit-identical to a freshly constructed one with
+  /// cfg.seed = seed. Always returns true.
   bool Reset(std::uint64_t seed) override;
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
@@ -157,6 +157,7 @@ class ShardedSummarizer : public Summarizer {
   bool spawned_ = false;  // the worker pool was started
   bool joined_ = false;
   bool finalized_ = false;  // a summary was produced; Finalize re-entry throws
+  double inner_s_ = 0.0;  // the shards' s, after the max_bytes halvings
   std::uint32_t degrade_steps_ = 0;  // max_bytes halvings of the inner s
   std::atomic<bool> poisoned_{false};
 

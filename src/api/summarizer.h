@@ -162,9 +162,8 @@ struct SummarizerConfig {
 
 /// Uniform builder: feed items with Add/AddBatch (or AddCoords for the
 /// d-dimensional method), then call Finalize() exactly once. A finalized
-/// summarizer is spent; build a new one for the next summary (or recycle
-/// it through Reset() when the method supports that). Single-caller: one
-/// thread drives a given builder at a time.
+/// summarizer is spent; build a new one with MakeSummarizer for the next
+/// summary. Single-caller: one thread drives a given builder at a time.
 class Summarizer {
  public:
   /// Takes the validated config by value; the registry factories call this
@@ -198,7 +197,7 @@ class Summarizer {
                               Weight w);
 
   /// Builds the summary from everything added. Call exactly once; the
-  /// builder is spent afterwards (unless recycled via Reset). Input-
+  /// builder is spent afterwards. Input-
   /// dependent config mismatches (hierarchy/range_of counts) throw
   /// std::invalid_argument from here.
   virtual std::unique_ptr<RangeSummary> Finalize() = 0;
@@ -213,13 +212,13 @@ class Summarizer {
   /// (api/sharded.h) only composes over mergeable methods.
   virtual bool Mergeable() const { return false; }
 
-  /// Recycling capability: returns the builder to its freshly-constructed
-  /// state under `seed`, retaining allocated capacity, and reports true.
-  /// A recycled builder must behave exactly like a fresh builder
-  /// constructed with the same config and that seed. Wrappers that rebuild
-  /// repeatedly (the windowed ring retiring time buckets) recycle spent
-  /// builders through this instead of reconstructing them. The default
-  /// reports false ("not recyclable"); callers must then build a fresh one.
+  /// Wrapper recovery: the sharded:, windowed: and serve: wrappers
+  /// override this to return to their freshly-constructed state under
+  /// `seed`, from any state (poisoned and finalized included), by building
+  /// fresh inner builders; they report true and then behave exactly like a
+  /// fresh builder constructed with the same config and that seed. Leaf
+  /// methods report false and change nothing: build a fresh one with
+  /// MakeSummarizer instead.
   virtual bool Reset(std::uint64_t seed) {
     (void)seed;
     return false;
@@ -241,8 +240,8 @@ class Summarizer {
   /// never downcast use the plain Add/Finalize surface unchanged.
   virtual ServableSummarizer* AsServable() { return nullptr; }
 
-  /// The validated config this builder was constructed with (Reset updates
-  /// its seed in place).
+  /// The validated config this builder was constructed with (a wrapper's
+  /// Reset updates its seed in place).
   const SummarizerConfig& config() const { return cfg_; }
 
   /// Ingest-boundary counters for this builder (see IngestStats). Read

@@ -38,9 +38,10 @@ std::uint64_t NowNs() {
 // Histogram
 
 int Histogram::BucketOf(std::uint64_t value) {
-  // bit_width(0) == 0, bit_width(2^k) == k+1: bucket b >= 1 spans
-  // [2^(b-1), 2^b), bucket 0 holds exactly the value 0.
-  return std::bit_width(value);
+  // The bit width: 0 for 0, k+1 for 2^k, so bucket b >= 1 spans
+  // [2^(b-1), 2^b) and bucket 0 holds exactly the value 0. countl_zero
+  // returns int in every standard library; bit_width's return type varies.
+  return 64 - std::countl_zero(value);
 }
 
 std::uint64_t Histogram::BucketFloor(int b) {

@@ -114,34 +114,16 @@ void StreamVarOpt::Push(const WeightedKey& item) {
   assert(heavy_.size() + light_.size() == s_);
 }
 
-void StreamVarOpt::Absorb(const Sample& sample) {
-  for (const WeightedKey& e : sample.entries()) {
-    Push({e.id, sample.AdjustedWeight(e), e.pt});
-  }
-}
-
 Sample StreamVarOpt::TakeSample() {
   std::vector<WeightedKey> entries = std::move(heavy_);
   entries.insert(entries.end(), light_.begin(), light_.end());
   Sample out(tau_, std::move(entries));
   heavy_.clear();
-  heavy_.reserve(s_ + 1);
   light_.clear();
   tau_ = 0.0;
   light_mass_ = 0.0;
   seen_ = 0;
   return out;
-}
-
-void StreamVarOpt::Reset(Rng rng) {
-  heavy_.clear();
-  heavy_.reserve(s_ + 1);
-  light_.clear();
-  popped_scratch_.clear();
-  tau_ = 0.0;
-  light_mass_ = 0.0;
-  seen_ = 0;
-  rng_ = rng;
 }
 
 Sample StreamVarOpt::ToSample() const {

@@ -36,13 +36,6 @@ class StreamVarOpt {
     for (const WeightedKey& it : items) Push(it);
   }
 
-  /// Merge entry point: feeds every entry of a finished VarOpt sample at
-  /// its *adjusted* weight, so a combiner sketch absorbing shard samples
-  /// stays unbiased for the union of the shards' data (law of total
-  /// expectation). This is the streaming counterpart of MergeSamples
-  /// (aware/merge.h).
-  void Absorb(const Sample& sample);
-
   /// Current threshold (0 while fewer than s items have been seen).
   double tau() const { return tau_; }
 
@@ -56,16 +49,9 @@ class StreamVarOpt {
   Sample ToSample() const;
 
   /// Extracts the sample by moving the retained items out; the sketch is
-  /// reset to its freshly-constructed state (same capacity, same RNG
-  /// position). Use this at Finalize time to avoid copying the reservoir.
+  /// left empty at the same RNG position, and regrows its reservoir if fed
+  /// again. Use this at Finalize time to avoid copying the reservoir.
   Sample TakeSample();
-
-  /// Returns the sketch to its freshly-constructed state under a new RNG,
-  /// retaining the allocated reservoir capacity. The windowed backend
-  /// (window/windowed.h) recycles retired bucket sketches through this
-  /// instead of reallocating them: a Reset sketch behaves bit-identically
-  /// to StreamVarOpt(s, rng) fed the same stream.
-  void Reset(Rng rng);
 
  private:
   /// Restores the heap property after appending to heavy_.

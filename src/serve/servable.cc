@@ -10,13 +10,18 @@
 namespace sas {
 
 ServableSummarizer::ServableSummarizer(std::string key,
-                                       std::unique_ptr<Summarizer> inner,
+                                       SummarizerFactory make_inner,
                                        const SummarizerConfig& cfg)
     : Summarizer(cfg),
       key_(std::move(key)),
-      inner_(std::move(inner)),
+      make_inner_(std::move(make_inner)),
       service_(std::make_shared<QueryService>(
           QueryService::Options{cfg.faults})) {
+  MakeInner();
+}
+
+void ServableSummarizer::MakeInner() {
+  inner_ = make_inner_(cfg_);
   if (WindowedSummarizer* win = inner_->AsWindowed()) {
     // Ring advances republish the merged window; the hook keeps a strong
     // reference so the service survives even if this wrapper is destroyed
@@ -37,8 +42,8 @@ std::unique_ptr<RangeSummary> ServableSummarizer::Finalize() {
 }
 
 bool ServableSummarizer::Reset(std::uint64_t seed) {
-  if (!inner_->Reset(seed)) return false;
   cfg_.seed = seed;
+  MakeInner();
   return true;
 }
 

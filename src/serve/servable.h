@@ -26,10 +26,9 @@
 //
 // Capability rules: the wrapper is not Mergeable (serving is an outermost
 // concern — "sharded:2:serve:obliv" is rejected exactly like any other
-// non-mergeable inner). Reset(seed) recycles the *builder* (forwarding to
-// the inner method's Reset) but deliberately does not unpublish: readers
-// keep the last published snapshot until the recycled builder publishes a
-// new one.
+// non-mergeable inner). Reset(seed) rebuilds the inner builder but
+// deliberately does not unpublish: readers keep the last published
+// snapshot until the rebuilt builder publishes a new one.
 
 #ifndef SAS_SERVE_SERVABLE_H_
 #define SAS_SERVE_SERVABLE_H_
@@ -37,20 +36,22 @@
 #include <memory>
 #include <string>
 
+#include "api/registry.h"
 #include "api/summarizer.h"
 #include "serve/query_service.h"
 
 namespace sas {
 
 /// The wrapper itself. Construct through MakeSummarizer, which parses the
-/// key and builds the inner builder (api/registry.cc); reach it via
-/// Summarizer::AsServable(). Sample-backedness of the inner *summary* is
-/// an instance property, checked at Finalize.
+/// key and hands over how to make the inner builder (api/registry.cc);
+/// reach it via Summarizer::AsServable(). Sample-backedness of the inner
+/// *summary* is an instance property, checked at Finalize.
 class ServableSummarizer : public Summarizer {
  public:
   /// `key` is the composed key reported by the finalized summary's Name();
-  /// `inner` the builder it serves, made under the same `cfg`.
-  ServableSummarizer(std::string key, std::unique_ptr<Summarizer> inner,
+  /// `make_inner` makes the builder it serves, here under `cfg` and again
+  /// at every Reset.
+  ServableSummarizer(std::string key, SummarizerFactory make_inner,
                      const SummarizerConfig& cfg);
 
   void Add(const WeightedKey& item) override { inner_->Add(item); }
@@ -77,9 +78,10 @@ class ServableSummarizer : public Summarizer {
   /// Serving is an outermost concern; the wrapper does not merge.
   bool Mergeable() const override { return false; }
 
-  /// Forwards to the inner builder's Reset. The service keeps serving the
-  /// last published snapshot (readers are not torn down by a builder
-  /// recycle); the next Finalize/ring advance republishes.
+  /// Replaces the inner builder with a fresh one under `seed`, and always
+  /// returns true. The service keeps serving the last published snapshot
+  /// (readers are not torn down by a rebuild); the next Finalize/ring
+  /// advance republishes.
   bool Reset(std::uint64_t seed) override;
 
   /// Passes through to the inner windowed wrapper (when the inner key is
@@ -94,7 +96,12 @@ class ServableSummarizer : public Summarizer {
   std::shared_ptr<QueryService> service() { return service_; }
 
  private:
+  /// Makes inner_ under cfg_ and, when it is windowed, routes its ring
+  /// advances to the service.
+  void MakeInner();
+
   std::string key_;
+  SummarizerFactory make_inner_;
   std::unique_ptr<Summarizer> inner_;
   std::shared_ptr<QueryService> service_;
 };

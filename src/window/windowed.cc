@@ -11,10 +11,6 @@ namespace sas {
 
 namespace {
 
-/// Spent inner builders kept around for Reset recycling. One builder is
-/// live at a time (seal or query rebuild), so a small cap suffices.
-constexpr std::size_t kMaxFreeBuilders = 2;
-
 // Distinct salts keep the bucket-seed and merge-seed streams independent of
 // each other and of the sharded wrapper's partition salt.
 constexpr std::uint64_t kBucketSeedTag = 0x5EA1B0C4E7B0C4E7ULL;
@@ -36,7 +32,6 @@ WindowedSummarizer::WindowedSummarizer(std::string key, double window,
   bucket_seed_base_ = Mix64(cfg.seed ^ kBucketSeedTag);
   merge_seed_base_ = Mix64(cfg.seed ^ kMergeSeedTag);
   effective_s_ = cfg.s;
-  free_builder_s_ = cfg.s;
   ring_.resize(static_cast<std::size_t>(buckets));
   // Cold registry lookups; the hot paths only touch the cached pointers.
   seal_ns_ = telemetry::GetHistogram("sas.window.seal_ns");
@@ -47,17 +42,11 @@ WindowedSummarizer::WindowedSummarizer(std::string key, double window,
   cache_hits_ = telemetry::GetCounter("sas.window.cache_hits");
   cache_misses_ = telemetry::GetCounter("sas.window.cache_misses");
 
-  // Probe the inner method eagerly: invalid configs and non-mergeable
-  // methods must throw at MakeSummarizer time, not at the first bucket
-  // seal.
-  auto probe = AcquireInner(/*epoch=*/0);
-  // Probe the Reset capability too (a no-op on the fresh builder): a
-  // recyclable probe seeds the free list, a non-recyclable one — e.g. a
-  // sharded inner with its worker pool — is destroyed right away rather
-  // than cached until the first bucket seal.
-  inner_recyclable_ =
-      probe->Reset(ForkSeed(bucket_seed_base_, /*stream=*/0));
-  ReleaseInner(std::move(probe));
+  // Build one inner builder eagerly and drop it: invalid configs and
+  // non-mergeable methods must throw at MakeSummarizer time, not at the
+  // first bucket seal.
+  (void)inner_.Make(cfg_, ForkSeed(bucket_seed_base_, /*stream=*/0),
+                    effective_s_);
 }
 
 void WindowedSummarizer::RequireLive(const char* what) const {
@@ -98,39 +87,6 @@ int WindowedSummarizer::live_buckets() const {
   return live;
 }
 
-std::unique_ptr<Summarizer> WindowedSummarizer::AcquireInner(
-    std::int64_t epoch) {
-  const std::uint64_t seed =
-      ForkSeed(bucket_seed_base_, static_cast<std::uint64_t>(epoch));
-  if (free_builder_s_ != effective_s_) {
-    // A budget degradation changed the bucket sample size; cached builders
-    // are pinned to the old s (Reset reseeds but cannot resize), so the
-    // free list is rebuilt at the new size.
-    free_builders_.clear();
-    free_builder_s_ = effective_s_;
-  }
-  if (!free_builders_.empty()) {
-    auto builder = std::move(free_builders_.back());
-    free_builders_.pop_back();
-    if (builder->Reset(seed)) {
-      ++recycled_builders_;
-      return builder;
-    }
-    // Unreachable while the capability probe below holds, but a custom
-    // method whose Reset support is state-dependent just falls through to
-    // a fresh construction.
-    inner_recyclable_ = false;
-    free_builders_.clear();
-  }
-  return inner_.Make(cfg_, seed, effective_s_);
-}
-
-void WindowedSummarizer::ReleaseInner(std::unique_ptr<Summarizer> spent) {
-  if (inner_recyclable_ && free_builders_.size() < kMaxFreeBuilders) {
-    free_builders_.push_back(std::move(spent));
-  }
-}
-
 void WindowedSummarizer::MaybeDegrade() {
   if (cfg_.max_bytes == 0) return;
   std::size_t live_sealed = 0;
@@ -146,12 +102,12 @@ void WindowedSummarizer::MaybeDegrade() {
 Sample WindowedSummarizer::BuildBucketSample(
     std::int64_t epoch, std::span<const WeightedKey> items) {
   MaybeDegrade();
-  auto builder = AcquireInner(epoch);
+  auto builder = inner_.Make(
+      cfg_, ForkSeed(bucket_seed_base_, static_cast<std::uint64_t>(epoch)),
+      effective_s_);
   builder->AddBatch(items);
   auto summary = builder->Finalize();
-  Sample out = InnerSample(*summary, key_).TakeSample();
-  ReleaseInner(std::move(builder));
-  return out;
+  return InnerSample(*summary, key_).TakeSample();
 }
 
 void WindowedSummarizer::SealCurrentBucket(std::int64_t next_epoch) {
@@ -341,15 +297,11 @@ bool WindowedSummarizer::Reset(std::uint64_t seed) {
   merges_ = 0;
   late_items_ = 0;
   dropped_items_ = 0;
-  recycled_builders_ = 0;
   stats_ = IngestStats{};
   effective_s_ = cfg_.s;
   cfg_.seed = seed;
   bucket_seed_base_ = Mix64(seed ^ kBucketSeedTag);
   merge_seed_base_ = Mix64(seed ^ kMergeSeedTag);
-  // Free-list builders survive the reset: AcquireInner reseeds them per
-  // bucket anyway, and a stale effective_s_ is caught by the
-  // free_builder_s_ check there.
   return true;
 }
 

@@ -15,7 +15,7 @@
 // [e*span, (e+1)*span). The ring holds the current epoch (an item buffer
 // still accepting ingest) plus the most recent B-1 sealed epochs (each a
 // finished VarOpt sample of expected size s). An epoch expires — its slot
-// is retired and the memory recycled — as soon as its *start* is W old,
+// is retired and its sample freed — as soon as its *start* is W old,
 // i.e. expiry snaps to bucket boundaries from below: an item exactly W old
 // is always outside the window, and items as young as W - W/B may already
 // be out, so the effective coverage lies between W - W/B and W. More
@@ -24,15 +24,13 @@
 //
 // Bucket rebuilds: the current bucket buffers raw items; it is built into a
 // sample when it seals (time advances past its epoch) and, on demand, when
-// a query arrives mid-epoch. Spent inner builders are recycled through the
-// Summarizer::Reset capability (falling back to a fresh inner builder for
-// methods that do not support it), and the merge reuses one MergeScratch,
-// so steady-state window maintenance allocates only the output samples.
+// a query arrives mid-epoch. Each build runs a fresh inner builder from the
+// composition layer, and the merge reuses one MergeScratch.
 //
 // Determinism: the bucket for epoch e is seeded ForkSeed(seed', e) and the
 // merge RNG is derived from (seed', epoch, items in the current bucket), so
 // a fixed (seed, W, B, timestamped input) reproduces every sample
-// bit-identically — including across builder recycling.
+// bit-identically.
 //
 // Untimed use: plain Add/AddBatch ingest at the current clock (initially
 // time 0), so a windowed key behaves like its inner method wrapped in one
@@ -71,7 +69,7 @@ class WindowedSummarizer : public Summarizer {
  public:
   /// `key` is the composed key reported by the finalized summary's Name();
   /// `window` and `buckets` its parsed W (positive, finite, with W/B > 0)
-  /// and B. Probes one inner builder eagerly, so an inner method that
+  /// and B. Builds one inner builder eagerly, so an inner method that
   /// cannot be made or is not Mergeable throws std::invalid_argument here.
   WindowedSummarizer(std::string key, double window, int buckets,
                      const SummarizerConfig& cfg, InnerBuilders inner);
@@ -93,8 +91,9 @@ class WindowedSummarizer : public Summarizer {
   /// empties the ring and the current bucket, rewinds the clock to 0,
   /// clears every counter, and re-derives the bucket/merge seed streams
   /// from `seed`. A reset builder is bit-identical to a freshly
-  /// constructed one with cfg.seed = seed. Always recyclable (the ring
-  /// state is plain buffers; inner builders are re-acquired per bucket).
+  /// constructed one with cfg.seed = seed. Always returns true (the ring
+  /// state is plain buffers; every bucket build makes a fresh inner
+  /// builder).
   bool Reset(std::uint64_t seed) override;
 
   WindowedSummarizer* AsWindowed() override { return this; }
@@ -104,8 +103,7 @@ class WindowedSummarizer : public Summarizer {
   /// Moves the clock forward to `now` (the clock is monotone: a `now` in
   /// the past is a no-op). Crossing an epoch boundary seals the current
   /// bucket into its sample and retires every bucket whose span has fully
-  /// left the window, recycling its builder and buffers. Throws
-  /// std::invalid_argument for non-finite times.
+  /// left the window. Throws std::invalid_argument for non-finite times.
   void Advance(double now);
 
   /// Advance(ts) + Add. Late items (ts earlier than the clock) are not
@@ -149,8 +147,6 @@ class WindowedSummarizer : public Summarizer {
   std::size_t merges_performed() const { return merges_; }
   std::size_t late_items() const { return late_items_; }
   std::size_t dropped_items() const { return dropped_items_; }
-  /// Builders reused via the Reset capability instead of reconstruction.
-  std::size_t recycled_builders() const { return recycled_builders_; }
   /// True once a bucket seal or window merge failed mid-update: the ring
   /// may be inconsistent, so every call but Reset throws. Reset(seed)
   /// recovers.
@@ -168,12 +164,8 @@ class WindowedSummarizer : public Summarizer {
   static constexpr std::int64_t kNoEpoch = INT64_MIN;
 
   void RequireLive(const char* what) const;
-  /// A fresh inner builder for the bucket of `epoch` (recycled when the
-  /// inner method supports Reset).
-  std::unique_ptr<Summarizer> AcquireInner(std::int64_t epoch);
-  void ReleaseInner(std::unique_ptr<Summarizer> spent);
-  /// Builds the inner summary over `items` under the bucket seed of
-  /// `epoch` and returns its sample.
+  /// Builds the inner summary over `items` with a fresh inner builder
+  /// under the bucket seed of `epoch` and returns its sample.
   Sample BuildBucketSample(std::int64_t epoch,
                            std::span<const WeightedKey> items);
   /// Seals the current bucket's buffer into its ring slot (no-op when the
@@ -201,17 +193,6 @@ class WindowedSummarizer : public Summarizer {
   std::vector<WeightedKey> cur_items_;   // current bucket's raw buffer
   std::vector<Slot> ring_;               // sealed buckets, slot = epoch % B
 
-  // Inner-builder free list (spent builders awaiting Reset) and merge
-  // scratch: the "memory recycled" of bucket retirement. The free list is
-  // only kept while the inner method supports the Reset capability
-  // (probed at construction) — spent non-recyclable builders are destroyed
-  // immediately instead of cached.
-  bool inner_recyclable_ = false;
-  std::vector<std::unique_ptr<Summarizer>> free_builders_;
-  /// The s the free-list builders were constructed with: a budget
-  /// degradation changes effective_s_, and builders cannot resize through
-  /// Reset, so a mismatch invalidates the whole free list.
-  double free_builder_s_ = 0.0;
   MergeScratch merge_scratch_;
   std::vector<const Sample*> merge_parts_;
 
@@ -225,7 +206,6 @@ class WindowedSummarizer : public Summarizer {
   std::size_t merges_ = 0;
   std::size_t late_items_ = 0;
   std::size_t dropped_items_ = 0;
-  std::size_t recycled_builders_ = 0;
 
   // Telemetry instruments (core/telemetry.h), resolved once at
   // construction; hot-path updates are guarded by telemetry::Enabled().

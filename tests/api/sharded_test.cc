@@ -9,6 +9,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <set>
 #include <stdexcept>
@@ -307,6 +308,52 @@ TEST(Sharded, AddCoordsRoutesKeyedPointsAcrossShards) {
   for (std::size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a[i].id, b[i].id);
     EXPECT_EQ(a[i].weight, b[i].weight);
+  }
+}
+
+TEST(Sharded, AddCoordsNumbersPointsByCallLikeNd) {
+  // "nd" and "sharded:<N>:nd" number AddCoords points the same way: a
+  // point's id is the number of earlier AddCoords calls that returned
+  // normally, so it indexes the caller's stream (the harness looks points
+  // up by id). A quarantined call consumes its id; a strict rejection
+  // throws before any state changes and does not.
+  constexpr std::size_t kN = 10;
+  constexpr std::size_t kBad = 3;
+  const Weight nan = std::numeric_limits<Weight>::quiet_NaN();
+  for (const std::string key : {"nd", "sharded:2:nd"}) {
+    for (const IngestPolicy policy :
+         {IngestPolicy::kQuarantine, IngestPolicy::kStrict}) {
+      const bool strict = policy == IngestPolicy::kStrict;
+      SummarizerConfig cfg;
+      cfg.s = 100.0;
+      cfg.seed = 9;
+      cfg.structure = StructureSpec::Nd(2);
+      cfg.ingest_policy = policy;
+      auto builder = MakeSummarizer(key, cfg);
+      for (std::size_t i = 0; i < kN; ++i) {
+        const Coord pt[2] = {static_cast<Coord>(i), 7};
+        if (i == kBad) {
+          if (strict) {
+            EXPECT_THROW(builder->AddCoords(pt, 2, nan),
+                         std::invalid_argument)
+                << key;
+            builder->AddCoords(pt, 2, 1.0);  // the retry takes the id
+          } else {
+            builder->AddCoords(pt, 2, nan);  // quarantined, id consumed
+          }
+          continue;
+        }
+        builder->AddCoords(pt, 2, 1.0 + static_cast<double>(i));
+      }
+      const auto summary = builder->Finalize();
+      ASSERT_NE(summary->AsSample(), nullptr) << key;
+      const auto& entries = summary->AsSample()->sample().entries();
+      EXPECT_EQ(entries.size(), strict ? kN : kN - 1) << key;
+      for (const WeightedKey& e : entries) {
+        EXPECT_EQ(static_cast<Coord>(e.id), e.pt.x)
+            << key << (strict ? " strict" : " quarantine");
+      }
+    }
   }
 }
 

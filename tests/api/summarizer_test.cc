@@ -144,38 +144,7 @@ TEST(Summarizer, TwoPassBuildersGiveExactSizes) {
   }
 }
 
-TEST(AwareBuilder, ResetBuilderEqualsFreshBuilder) {
-  // "aware" buffers its input and runs both passes at Finalize, so it
-  // recycles like the other buffering builders: a Reset builder is
-  // bit-identical to a fresh one under the same seed.
-  Rng rng(17);
-  const auto first = RandomItems(3000, 1 << 12, &rng);
-  const auto second = RandomItems(4000, 1 << 12, &rng);
-  SummarizerConfig cfg;
-  cfg.s = 60.0;
-  cfg.seed = 3;
-  auto recycled = MakeSummarizer(keys::kAware, cfg);
-  recycled->AddBatch(first);
-  (void)recycled->Finalize();
-  ASSERT_TRUE(recycled->Reset(99));
-  recycled->AddBatch(second);
-  const auto a = recycled->Finalize();
-
-  cfg.seed = 99;
-  auto fresh = MakeSummarizer(keys::kAware, cfg);
-  fresh->AddBatch(second);
-  const auto b = fresh->Finalize();
-  const Sample& sa = a->AsSample()->sample();
-  const Sample& sb = b->AsSample()->sample();
-  EXPECT_EQ(sa.tau(), sb.tau());
-  ASSERT_EQ(sa.size(), sb.size());
-  for (std::size_t i = 0; i < sa.size(); ++i) {
-    EXPECT_EQ(sa.entries()[i].id, sb.entries()[i].id) << i;
-    EXPECT_EQ(sa.entries()[i].weight, sb.entries()[i].weight) << i;
-  }
-}
-
-TEST(AwareBuilder, WindowedRingRecyclesAwareBuckets) {
+TEST(AwareBuilder, WindowedRingBuildsAwareBuckets) {
   Rng rng(18);
   const auto items = RandomItems(2000, 1 << 12, &rng);
   SummarizerConfig cfg;
@@ -186,8 +155,9 @@ TEST(AwareBuilder, WindowedRingRecyclesAwareBuckets) {
   for (std::size_t i = 0; i < items.size(); ++i) {
     win->AddTimed(static_cast<double>(i % 10), items[i]);
   }
-  (void)win->QueryAt(10.0);
-  EXPECT_GT(win->recycled_builders(), 0u);
+  const Sample& window = win->QueryAt(10.0);
+  EXPECT_EQ(window.size(), 40u);
+  EXPECT_GT(win->merges_performed(), 0u);
 }
 
 TEST(Summarizer, AddCoordsOnlySupportedByNd) {

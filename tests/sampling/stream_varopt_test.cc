@@ -188,53 +188,6 @@ TEST(StreamVarOpt, TakeSampleMatchesToSampleAndResets) {
   EXPECT_DOUBLE_EQ(sv.ToSample().EstimateTotal(), 1.0);
 }
 
-TEST(StreamVarOpt, AbsorbPreservesTotalEstimate) {
-  // A combiner absorbing shard samples at their adjusted weights keeps the
-  // exact-total invariant of VarOpt.
-  Rng rng(19);
-  std::vector<Weight> w(400);
-  double truth = 0.0;
-  for (auto& x : w) {
-    x = rng.NextPareto(1.2);
-    truth += x;
-  }
-  const auto items = MakeItems(w);
-
-  StreamVarOpt shard_a(50, Rng(20)), shard_b(50, Rng(21));
-  for (std::size_t i = 0; i < 200; ++i) shard_a.Push(items[i]);
-  for (std::size_t i = 200; i < 400; ++i) shard_b.Push(items[i]);
-
-  StreamVarOpt combiner(40, Rng(22));
-  combiner.Absorb(shard_a.ToSample());
-  combiner.Absorb(shard_b.ToSample());
-  EXPECT_EQ(combiner.size(), 40u);
-  EXPECT_NEAR(combiner.ToSample().EstimateTotal() / truth, 1.0, 1e-9);
-}
-
-TEST(StreamVarOpt, AbsorbUnbiasedSubsetSum) {
-  Rng rng(23);
-  std::vector<Weight> w(200);
-  for (auto& x : w) x = rng.NextPareto(1.4);
-  const auto items = MakeItems(w);
-  Weight truth = 0.0;
-  for (std::size_t i = 0; i < 100; ++i) truth += w[i];
-  const Box subset{{0, 100}, {0, 1}};
-
-  double total = 0.0;
-  const int trials = 20000;
-  Rng seeder(24);
-  for (int t = 0; t < trials; ++t) {
-    StreamVarOpt a(30, seeder.Split()), b(30, seeder.Split());
-    for (std::size_t i = 0; i < 100; ++i) a.Push(items[i]);
-    for (std::size_t i = 100; i < 200; ++i) b.Push(items[i]);
-    StreamVarOpt combiner(25, seeder.Split());
-    combiner.Absorb(a.ToSample());
-    combiner.Absorb(b.ToSample());
-    total += combiner.ToSample().EstimateBox(subset);
-  }
-  EXPECT_NEAR(total / trials / truth, 1.0, 0.02);
-}
-
 TEST(StreamVarOpt, SampleSizeOneWorks) {
   Rng seeder(14);
   std::vector<int> hits(4, 0);

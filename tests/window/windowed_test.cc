@@ -460,8 +460,6 @@ TEST(Windowed, DeterministicForFixedSeedWindowAndBuckets) {
       // Interleave queries: cache rebuilds must not perturb determinism.
       if (i % 3000 == 0) (void)wb.win->QueryAt(ts[i]);
     }
-    // Many epochs were sealed, so the recycling path was exercised.
-    EXPECT_GT(wb.win->recycled_builders(), 0u);
     Sample out = wb.win->QueryAt(20.0);
     return out;
   };
@@ -484,55 +482,6 @@ TEST(Windowed, DeterministicForFixedSeedWindowAndBuckets) {
     }
   }
   EXPECT_FALSE(same);
-}
-
-TEST(Windowed, RecycledBuilderMatchesFreshBuilder) {
-  // The Reset capability contract: a spent-then-Reset builder must behave
-  // exactly like a fresh one with the same seed. (The windowed ring relies
-  // on this for bucket-rebuild determinism.)
-  Rng data_rng(56);
-  const auto items = RandomItems(6000, 1 << 12, &data_rng);
-  const std::vector<WeightedKey> first_half(items.begin(),
-                                            items.begin() + 3000);
-  const std::vector<WeightedKey> second_half(items.begin() + 3000,
-                                             items.end());
-
-  for (const std::string inner : {std::string("obliv"), std::string("order"),
-                                  std::string("product"), std::string("nd")}) {
-    SummarizerConfig cfg;
-    cfg.s = 100.0;
-    cfg.seed = 5;
-    if (inner == "nd") cfg.structure = StructureSpec::Nd(2);
-
-    auto recycled = MakeSummarizer(inner, cfg);
-    recycled->AddBatch(first_half);
-    (void)recycled->Finalize();
-    ASSERT_TRUE(recycled->Reset(4242)) << inner;
-    recycled->AddBatch(second_half);
-    const auto ra = recycled->Finalize();
-
-    SummarizerConfig fresh_cfg = cfg;
-    fresh_cfg.seed = 4242;
-    auto fresh = MakeSummarizer(inner, fresh_cfg);
-    fresh->AddBatch(second_half);
-    const auto rb = fresh->Finalize();
-
-    const Sample& sa = ra->AsSample()->sample();
-    const Sample& sb = rb->AsSample()->sample();
-    ASSERT_EQ(sa.size(), sb.size()) << inner;
-    EXPECT_DOUBLE_EQ(sa.tau(), sb.tau()) << inner;
-    for (std::size_t i = 0; i < sa.size(); ++i) {
-      EXPECT_EQ(sa.entries()[i].id, sb.entries()[i].id) << inner << " " << i;
-    }
-  }
-
-  // Methods without the capability report false from Reset.
-  SummarizerConfig cfg;
-  cfg.s = 100.0;
-  cfg.bits_x = 12;
-  cfg.bits_y = 12;
-  auto sketch = MakeSummarizer("sketch", cfg);
-  EXPECT_FALSE(sketch->Reset(1));
 }
 
 TEST(Windowed, ComposesWithShardedInEitherOrder) {
